@@ -8,7 +8,7 @@ runs the Monte Carlo verifiers for everything that is checkable at desk
 scale.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .scenery import SceneryField, ConstantField, TableField, LevelSet
 from .exponents import ExponentResult

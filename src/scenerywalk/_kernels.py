@@ -1,14 +1,28 @@
 """Vectorised replica-batch kernels behind the Monte Carlo estimators.
 
-These produce the same processes as the event-driven simulators in ``ctrw``
-(exponential holding times, uniform neighbour choices) but march whole
-replica batches through numpy, which is what makes the desk-scale acceptance
-runs feasible.
+A continuous-time simple random walk up to time t is built here as its jump
+skeleton only: the jump count N ~ Poisson(rate t) and the N uniform
+neighbour steps.  The holding times are never drawn one by one.  Given N,
+the N+1 sojourn lengths are t times uniform spacings, i.e. t Dirichlet(1,
+..., 1), independent of the steps, and every quantity the estimators use
+depends on them only through the time spent at each visited site.  By
+Dirichlet aggregation (Devroye 1986, *Non-Uniform Random Variate
+Generation*, ch. V):
 
-Randomness comes from Philox streams keyed by (master seed, kernel tag,
-chunk index) with a fixed chunk size; inside a stream chunk the rows are
-processed in memory-bounded sub-batches that consume the stream in a fixed
-order.  Results are therefore bit-reproducible and independent of the
+* the time spent in a set the skeleton visits k times is t Beta(k, N+1-k);
+* the local times of the visited sites are t G_x / sum G with independent
+  G_x ~ Gamma(k_x), k_x the number of visits to x.
+
+The reducers draw exactly these variables after the skeleton, so per jump
+only one int8 step and a count remain.  The event-driven simulators in
+``ctrw`` and the explicit-sojourn kernel kept in the tests sample the same
+laws and serve as oracles.
+
+Randomness comes from Philox streams keyed by (master seed, *tag, chunk
+index) with a fixed chunk size, where ``tag`` is an int or a tuple of ints.
+Inside a stream chunk the rows are processed in memory-bounded sub-batches
+that consume the stream in a fixed order (skeleton, then the reducer's
+draws).  Results are therefore bit-reproducible and independent of the
 parallelism degree.
 """
 
@@ -19,12 +33,12 @@ import numpy as np
 from . import scenery
 from .streams import chunk_ranges, philox
 
-#: cap on rows*jumps elements held per sub-batch (keeps peak memory ~100 MB)
+#: cap on rows*jumps elements held per sub-batch (keeps peak memory bounded)
 _ELEMENT_BUDGET = 2_500_000
 
 
 def _jump_capacity(rate: float, t: float) -> int:
-    """Jump columns so that running out before the horizon is negligible."""
+    """Jump columns that a Poisson(rate t) count exceeds with negligible probability."""
     mean_jumps = rate * t
     return int(np.ceil(mean_jumps + 12.0 * np.sqrt(mean_jumps + 1.0) + 30.0))
 
@@ -40,47 +54,93 @@ def _sub_batches(rows: int, m: int) -> list[int]:
     return out
 
 
+def _key(tag) -> tuple:
+    """Stream-key parts of a kernel tag (an int or a tuple of ints)."""
+    return tag if isinstance(tag, tuple) else (tag,)
+
+
 def srw_paths_batch(
     dim: int, rate: float, t: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of CTSRW sojourn sequences truncated at time t.
+    """Batch of CTSRW jump skeletons up to time t.
 
-    Returns ``(pos, dur)``: occupied sites ``pos int32 (count, m, dim)`` and
-    clipped sojourn durations ``dur (count, m)`` with ``dur.sum(1) == t`` per
-    replica.  The walk starts at the origin; ``pos[:, j]`` is the site held
-    during the j-th sojourn.
+    Returns ``(pos, live)``: the sites in visiting order ``pos int32
+    (count, m, dim)``, starting at the origin, and the bool mask ``live
+    (count, m)`` of the N+1 sojourns made before t, where N ~ Poisson(rate t)
+    is the row's jump count (``live.sum(1) - 1 == N``).  ``m`` is the largest
+    N + 1 of the batch; cells past a row's mask carry no time.  Only N and
+    the steps are drawn: the reducers draw the time spent at each site.
     """
-    m = _jump_capacity(rate, t)
-    holds = rng.exponential(1.0 / rate, size=(count, m))
-    total = holds.sum(axis=1)
-    while np.any(total < t):  # pragma: no cover - probability < 1e-18
-        extra = rng.exponential(1.0 / rate, size=(count, m // 2 + 1))
-        holds = np.concatenate([holds, extra], axis=1)
-        total = holds.sum(axis=1)
-        m = holds.shape[1]
-    jump_times = np.cumsum(holds, axis=1)
-    np.minimum(jump_times, t, out=jump_times)
-    dur = np.empty_like(jump_times)
-    dur[:, 0] = jump_times[:, 0]
-    np.subtract(jump_times[:, 1:], jump_times[:, :-1], out=dur[:, 1:])
-
+    jumps = rng.poisson(rate * t, size=count)
+    m = int(jumps.max(initial=0)) + 1
+    live = np.arange(m) <= jumps[:, None]
     pos = np.zeros((count, m, dim), dtype=np.int32)
     if dim == 1:
-        steps = rng.integers(0, 2, size=(count, m - 1), dtype=np.int8)
-        steps = steps.astype(np.int32) * 2 - 1
-        np.cumsum(steps, axis=1, out=pos[:, 1:, 0])
+        # one random bit per step, eight steps per drawn byte
+        raw = rng.integers(0, 256, size=(count, (m + 6) // 8), dtype=np.uint8)
+        steps = np.unpackbits(raw, axis=1, count=m - 1).view(np.int8)
+        steps *= 2
+        steps -= 1
+        np.cumsum(steps, axis=1, dtype=np.int32, out=pos[:, 1:, 0])
     else:
         coords = rng.integers(0, dim, size=(count, m - 1))
         signs = rng.integers(0, 2, size=(count, m - 1), dtype=np.int8).astype(np.int32) * 2 - 1
         steps = np.zeros((count, m - 1, dim), dtype=np.int32)
         np.put_along_axis(steps, coords[:, :, None], signs[:, :, None], axis=2)
         np.cumsum(steps, axis=1, out=pos[:, 1:, :])
-    return pos, dur
+    return pos, live
 
 
-def endpoint_index(dur: np.ndarray) -> np.ndarray:
-    """Index of the sojourn containing the horizon (last positive duration)."""
-    return np.maximum((dur > 0).sum(axis=1) - 1, 0)
+def endpoint_index(live: np.ndarray) -> np.ndarray:
+    """Index of the sojourn containing the horizon (last live sojourn)."""
+    return live.sum(axis=1) - 1
+
+
+def _skeletons(dim: int, rate: float, t: float, master_seed: int, count: int, tag):
+    """Yield ``(rows, rng, pos, live)`` per sub-batch of the keyed replica chunks.
+
+    ``rows`` is the slice of replicas covered; the caller draws its reducer
+    variables from ``rng`` before the next sub-batch, which fixes the order
+    in which each chunk's stream is consumed.
+    """
+    m = _jump_capacity(rate, t)
+    for c, (lo, hi) in enumerate(chunk_ranges(count)):
+        rng = philox(master_seed, *_key(tag), c)
+        row = lo
+        for rows in _sub_batches(hi - lo, m):
+            pos, live = srw_paths_batch(dim, rate, t, rows, rng)
+            yield slice(row, row + rows), rng, pos, live
+            row += rows
+
+
+def local_times(pos: np.ndarray, live: np.ndarray, t: float, rng: np.random.Generator):
+    """Sites and the time spent at each, drawn given the skeletons.
+
+    Returns ``(sites, times)`` with ``sites (rows, k, dim)`` and ``times
+    (rows, k)``, each row of ``times`` summing to t.  For d = 1 the live
+    visits are counted on the strip of sites the batch spans, and a site
+    visited k_x > 0 times gets t G_x / sum G with G_x ~ Gamma(k_x).  For
+    d >= 2 each live sojourn gets t E_j / sum E with E_j ~ Exp(1), the same
+    Dirichlet(1, ..., 1) law sojourn by sojourn.
+    """
+    rows, m, dim = pos.shape
+    if dim == 1:
+        lo = int(pos.min())
+        width = int(pos.max()) - lo + 1
+        cells = pos[..., 0] - lo
+        cells += (width * np.arange(rows, dtype=np.int32))[:, None]
+        visits = np.bincount(cells[live], minlength=rows * width).reshape(rows, width)
+        times = np.zeros((rows, width))
+        visited = visits > 0
+        times[visited] = rng.standard_gamma(visits[visited])
+        strip = np.arange(lo, lo + width, dtype=np.int32)
+        sites = np.broadcast_to(strip[None, :, None], (rows, width, 1))
+    else:
+        times = rng.standard_exponential((rows, m))
+        times *= live
+        sites = pos
+    times *= t / times.sum(axis=1, keepdims=True)
+    return sites, times
 
 
 def pareto_values_at(seeds, pos: np.ndarray, alpha: float) -> np.ndarray:
@@ -121,31 +181,28 @@ def additive_functional_batch(
     t: float,
     master_seed: int,
     count: int,
-    tag: int,
+    tag,
     site_weight=None,
 ) -> np.ndarray:
     """A_t = integral of z along the walk, one fresh scenery per replica.
 
     Walk randomness and field seeds both derive from (master_seed, tag,
-    chunk).  ``site_weight(pos) -> (rows, m)`` overrides the Pareto field
-    (degenerate-law oracles).
+    chunk).  ``site_weight(sites) -> (rows, k)``, applied to the sites of
+    :func:`local_times`, overrides the Pareto field (degenerate-law oracles).
     """
-    m = _jump_capacity(rate, t)
-    out = np.empty(count)
+    field_seeds = np.empty(count, dtype=np.uint64)
     for c, (lo, hi) in enumerate(chunk_ranges(count)):
-        rng = philox(master_seed, tag, c)
-        field_seeds = philox(master_seed, tag, c, 0xF1E1D).integers(
+        field_seeds[lo:hi] = philox(master_seed, *_key(tag), c, 0xF1E1D).integers(
             0, 2**63, size=hi - lo, dtype=np.uint64
         )
-        row = lo
-        for rows in _sub_batches(hi - lo, m):
-            pos, dur = srw_paths_batch(dim, rate, t, rows, rng)
-            if site_weight is not None:
-                z = site_weight(pos)
-            else:
-                z = pareto_values_at(field_seeds[row - lo : row - lo + rows], pos, alpha)
-            out[row : row + rows] = np.einsum("ij,ij->i", z, dur)
-            row += rows
+    out = np.empty(count)
+    for rows, rng, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
+        sites, times = local_times(pos, live, t, rng)
+        if site_weight is not None:
+            z = site_weight(sites)
+        else:
+            z = pareto_values_at(field_seeds[rows], sites, alpha)
+        out[rows] = np.einsum("ij,ij->i", z, times)
     return out
 
 
@@ -155,50 +212,42 @@ def occupation_batch(
     t: float,
     master_seed: int,
     count: int,
-    tag: int,
+    tag,
     indicator,
     start=None,
 ) -> np.ndarray:
     """Occupation times int_0^t f(S_u) du per replica for an indicator f.
 
     ``indicator(pos)`` maps the (rows, m, dim) position array to sojourn
-    weights in {0, 1}; ``start`` shifts the walk's starting site.
+    weights in {0, 1}; ``start`` shifts the walk's starting site.  A row whose
+    N+1 sojourns include k in the set gets t Beta(k, N+1-k): exactly 0 when
+    k = 0 and exactly t when k = N+1.
     """
-    m = _jump_capacity(rate, t)
     out = np.empty(count)
     shift = None if start is None else np.asarray(start, dtype=np.int32).reshape(1, 1, dim)
-    for c, (lo, hi) in enumerate(chunk_ranges(count)):
-        rng = philox(master_seed, tag, c)
-        row = lo
-        for rows in _sub_batches(hi - lo, m):
-            pos, dur = srw_paths_batch(dim, rate, t, rows, rng)
-            if shift is not None:
-                pos = pos + shift
-            out[row : row + rows] = np.einsum(
-                "ij,ij->i", indicator(pos).astype(np.float64), dur
-            )
-            row += rows
+    for rows, rng, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
+        if shift is not None:
+            pos = pos + shift
+        hits = np.logical_and(indicator(pos), live).sum(axis=1)
+        sojourns = live.sum(axis=1)
+        share = (hits == sojourns).astype(np.float64)
+        mixed = (hits > 0) & (hits < sojourns)
+        share[mixed] = rng.beta(hits[mixed], sojourns[mixed] - hits[mixed])
+        out[rows] = t * share
     return out
 
 
 def srw_endpoints_batch(
-    dim: int, rate: float, t: float, master_seed: int, count: int, tag: int
+    dim: int, rate: float, t: float, master_seed: int, count: int, tag
 ) -> np.ndarray:
     """Positions S_t of the CTSRW for ``count`` replicas, shape (count, dim)."""
-    m = _jump_capacity(rate, t)
     out = np.empty((count, dim), dtype=np.int64)
-    for c, (lo, hi) in enumerate(chunk_ranges(count)):
-        rng = philox(master_seed, tag, c)
-        row = lo
-        for rows in _sub_batches(hi - lo, m):
-            pos, dur = srw_paths_batch(dim, rate, t, rows, rng)
-            k = endpoint_index(dur)
-            out[row : row + rows] = pos[np.arange(rows), k].astype(np.int64)
-            row += rows
+    for rows, _, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
+        out[rows] = pos[np.arange(pos.shape[0]), endpoint_index(live)]
     return out
 
 
-def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag: int) -> np.ndarray:
+def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag) -> np.ndarray:
     """Endpoints X_t of the layered VSRW for ``count`` replicas (fixed field).
 
     Synchronous event-driven stepping: all active replicas advance one jump
@@ -208,7 +257,7 @@ def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag: int
     d = field.dim
     out = np.empty((count, 1 + d), dtype=np.int64)
     for c, (lo, hi) in enumerate(chunk_ranges(count, 16384)):
-        rng = philox(master_seed, tag, c)
+        rng = philox(master_seed, *_key(tag), c)
         n = hi - lo
         pos = np.zeros((n, 1 + d), dtype=np.int64)
         clock = np.zeros(n)
@@ -241,27 +290,19 @@ def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag: int
     return out
 
 
-def composed_endpoints_batch(field, t: float, master_seed: int, count: int, tag: int) -> np.ndarray:
+def composed_endpoints_batch(field, t: float, master_seed: int, count: int, tag) -> np.ndarray:
     """Endpoints of (S1 at clock A2_t, S2_t): the time-change representation.
 
-    The transverse walk S2 (per-edge rate 1, total 2d) is simulated
-    explicitly and integrated against the field to get the clock value A2_t;
-    the vertical rate-2 walk at clock time A is then placed exactly by
+    The transverse walk S2 (per-edge rate 1, total 2d) is built as a jump
+    skeleton, and its local times weighted by the field give the clock value
+    A2_t; the vertical rate-2 walk at clock time A is then placed exactly by
     thinning its jumps into independent Poisson(A) up and down counts.
     """
     d = field.dim
-    m = _jump_capacity(2.0 * d, t)
     out = np.empty((count, 1 + d), dtype=np.int64)
-    for c, (lo, hi) in enumerate(chunk_ranges(count)):
-        rng = philox(master_seed, tag, c)
-        row = lo
-        for rows in _sub_batches(hi - lo, m):
-            pos, dur = srw_paths_batch(d, 2.0 * d, t, rows, rng)
-            z = field_values_at(field, pos)
-            a2 = np.einsum("ij,ij->i", z, dur)
-            x1 = rng.poisson(a2) - rng.poisson(a2)
-            out[row : row + rows, 0] = x1
-            k = endpoint_index(dur)
-            out[row : row + rows, 1:] = pos[np.arange(rows), k].astype(np.int64)
-            row += rows
+    for rows, rng, pos, live in _skeletons(d, 2.0 * d, t, master_seed, count, tag):
+        sites, times = local_times(pos, live, t, rng)
+        a2 = np.einsum("ij,ij->i", field_values_at(field, sites), times)
+        out[rows, 0] = rng.poisson(a2) - rng.poisson(a2)
+        out[rows, 1:] = pos[np.arange(pos.shape[0]), endpoint_index(live)]
     return out

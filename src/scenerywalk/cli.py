@@ -178,7 +178,14 @@ def _cmd_exponents(args, parser) -> int:
     gamma = float(_parse_grid(args.gamma, geometric=False)[0]) if args.gamma else 0.0
     rows = exponents.phase_diagram(alphas, xs, which.upper(), args.dim, gamma=gamma)
     prov = reporting.provenance_string(
-        {"cmd": "exponents", "which": which, "dim": args.dim, "alpha": alphas, "x": xs}
+        {
+            "cmd": "exponents",
+            "which": which,
+            "dim": args.dim,
+            "alpha": alphas,
+            "x": xs,
+            "gamma": gamma,
+        }
     )
     header = ("alpha", "x", "value", "regime")
     payload = {
@@ -209,7 +216,23 @@ def _cmd_simulate(args, parser) -> int:
         "replicas": args.replicas,
         "t_grid": t_grid,
     }
-    prov = reporting.provenance_string(params)
+    first = lambda g: None if g in (None, "") else float(_parse_grid(g, geometric=False)[0])
+    model = None
+    if args.task == "tail-scan":
+        model = "rcm" if args.delta is not None else "rwrs"
+    # every resolved input that can change the output (not jobs, out or format)
+    prov = reporting.provenance_string(
+        {
+            **params,
+            "rho": first(args.rho),
+            "delta": first(args.delta),
+            "gamma": first(args.gamma) or 0.0,
+            "quantile": args.quantile,
+            "b_value": args.b_value,
+            "moment": args.moment,
+            "model": model,
+        }
+    )
 
     if args.task == "lln":
         if not t_grid or len(t_grid) != 1:
@@ -243,7 +266,6 @@ def _cmd_simulate(args, parser) -> int:
     if args.task == "tail-scan":
         if not t_grid:
             parser.error("tail-scan needs --t-grid")
-        model = "rcm" if args.delta is not None else "rwrs"
         kwargs = {}
         if model == "rwrs":
             if args.rho is None:
@@ -321,7 +343,15 @@ def _cmd_chemdist(args, parser) -> int:
     seeds = [seed + k for k in range(args.seeds)]
     fit = chemdist.chemdist_scaling(alpha, args.dim, delta, gamma, t_grid, seeds)
     prov = reporting.provenance_string(
-        {"cmd": "chemdist", "alpha": alpha, "dim": args.dim, "delta": delta, "gamma": gamma}
+        {
+            "cmd": "chemdist",
+            "alpha": alpha,
+            "dim": args.dim,
+            "delta": delta,
+            "gamma": gamma,
+            "t_grid": t_grid,
+            "seeds": seeds,
+        }
     )
     header = ("t", "seed", "distance", "provenance")
     rows = [(t, s, d, prov) for t, s, d in fit.rows]
@@ -355,6 +385,8 @@ def _cmd_verify(args, parser) -> int:
             {
                 "name": r.name,
                 "passed": r.passed,
+                "statistic_passed": r.statistic_passed,
+                "within_budget": r.within_budget,
                 "runtime_s": round(r.runtime_s, 3),
                 "details": r.details,
             }

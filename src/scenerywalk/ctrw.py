@@ -236,7 +236,7 @@ def transition_prob_mc(
 ) -> TailEstimate:
     """Unbiased frequency estimate of p_t(0, x) with a Wilson interval.
 
-    Simulates the walk mechanically (exponential clocks, uniform neighbour
+    Simulates the jump skeleton (Poisson jump count, uniform neighbour
     choices) and counts endpoint hits, so it is an independent check of the
     Bessel-series value.
     """
@@ -252,8 +252,8 @@ def transition_prob_mc(
     m = _kernels._jump_capacity(total_rate, t)
     hits = 0
     for rows in _kernels._sub_batches(replicas, m):
-        pos, dur = _kernels.srw_paths_batch(dim, total_rate, t, rows, rng)
-        k = _kernels.endpoint_index(dur)
+        pos, live = _kernels.srw_paths_batch(dim, total_rate, t, rows, rng)
+        k = _kernels.endpoint_index(live)
         ends = pos[np.arange(rows), k].astype(np.int64)
         hits += int(np.sum(np.all(ends == x, axis=-1)))
     return tail_estimate(hits, replicas, log_t=float(np.log(t)))

@@ -10,10 +10,16 @@ probabilities are unreachable by direct frequency estimation); requests in
 those regimes raise :class:`StretchedRegimeError`.  Every estimator is
 reproducible bit-exactly from (master seed, parameters): randomness flows
 through keyed Philox streams only.
+
+Stream keys are tuples whose head is the estimator's own ``_KEY_*`` constant
+below, followed by its grid indices (or, where there is none, the float64
+bits of a parameter such as the horizon), so keys of different estimators
+or grid points never coincide however large the grids grow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -35,6 +41,23 @@ from .stats import (
 
 #: total jump rate of the scenery walk (generator (2d)^-1 Delta convention)
 RWRS_RATE = 1.0
+
+_KEY_LLN = 1
+_KEY_SCALING = 1000
+_KEY_TAIL_RWRS = 2000
+_KEY_TAIL_RCM = 2500
+_KEY_LOCAL_TIME = 3000
+_KEY_CHEN_BASE = 3600
+_KEY_KHASMINSKII = 4000
+_KEY_LEVEL = 5000
+_KEY_VSRW = 6000
+_KEY_COMPOSED = 6001
+_KEY_LOCAL_TIME_TAIL = 7100
+
+
+def _float_part(x: float) -> int:
+    """Key part of a float parameter: its float64 bit pattern (distinct x, distinct part)."""
+    return int(np.float64(x).view(np.uint64))
 
 
 class StretchedRegimeError(RuntimeError):
@@ -112,7 +135,7 @@ def lln_check(
     if law_override is not None:
         site_weight = lambda pos: np.full(pos.shape[:-1], float(law_override))
     a_vals = _kernels.additive_functional_batch(
-        alpha, dim, RWRS_RATE, t, seed, replicas, tag=1, site_weight=site_weight
+        alpha, dim, RWRS_RATE, t, seed, replicas, tag=_KEY_LLN, site_weight=site_weight
     )
     ratios = a_vals / t
     target = float(law_override) if law_override is not None else alpha / (alpha - 1)
@@ -185,7 +208,7 @@ def scaling_exponent_estimate(
 
     def one(i: int):
         a_vals = _kernels.additive_functional_batch(
-            alpha, dim, RWRS_RATE, t_grid[i], seed, replicas, tag=1000 + i, site_weight=site_weight
+            alpha, dim, RWRS_RATE, t_grid[i], seed, replicas, (_KEY_SCALING, i), site_weight
         )
         return (t_grid[i], float(np.quantile(a_vals, quantile)))
 
@@ -257,7 +280,7 @@ def tail_prob_scan(
         def one_rwrs(i: int):
             t = t_grid[i]
             a_vals = _kernels.additive_functional_batch(
-                alpha, dim, RWRS_RATE, t, seed, replicas, tag=2000 + i
+                alpha, dim, RWRS_RATE, t, seed, replicas, tag=(_KEY_TAIL_RWRS, i)
             )
             k = int(np.sum(a_vals >= t**rho))
             return tail_estimate(k, replicas, log_t=float(np.log(t)))
@@ -281,7 +304,7 @@ def tail_prob_scan(
             target = np.zeros(1 + dim, dtype=np.int64)
             target[0] = round_half_away(t**delta)
             target[1] = round_half_away(t**gamma)
-            ends = _kernels.composed_endpoints_batch(field, t, seed, replicas, tag=2500 + i)
+            ends = _kernels.composed_endpoints_batch(field, t, seed, replicas, (_KEY_TAIL_RCM, i))
             k = int(np.sum(np.all(ends == target, axis=1)))
             return tail_estimate(k, replicas, log_t=float(np.log(t)))
 
@@ -332,19 +355,20 @@ class StrategyBound:
         return float(np.log(-self.log_probability) / np.log(self.t))
 
 
-_LOCAL_TIME_TAIL_CACHE: dict = {}
 _LT_TAIL_SEED = 0x10CA17
 
 
+@functools.lru_cache(maxsize=8)
 def _local_time_tail(dim: int, rate: float, window: float, replicas: int = 200_000) -> np.ndarray:
-    """Sorted MC sample of the origin local time over one window (cached)."""
-    key = (dim, float(rate), round(float(window), 9), replicas)
-    if key not in _LOCAL_TIME_TAIL_CACHE:
-        occ = _kernels.occupation_batch(
-            dim, rate, window, _LT_TAIL_SEED, replicas, tag=7100, indicator=_origin_indicator
-        )
-        _LOCAL_TIME_TAIL_CACHE[key] = np.sort(occ)
-    return _LOCAL_TIME_TAIL_CACHE[key]
+    """Sorted MC sample of the origin local time over one window.
+
+    Cached, at most 8 entries of ``replicas`` float64 each; callers must not
+    modify the returned array.
+    """
+    occ = _kernels.occupation_batch(
+        dim, rate, window, _LT_TAIL_SEED, replicas, _KEY_LOCAL_TIME_TAIL, _origin_indicator
+    )
+    return np.sort(occ)
 
 
 def _wilson_low_vec(k: np.ndarray, n: int) -> np.ndarray:
@@ -476,8 +500,14 @@ def chen_bound(params: ChenParams) -> float:
     )
 
 
-def local_time_samples(dim: int, t: float, replicas: int, seed: int, tag: int = 3000) -> np.ndarray:
-    """MC sample of the origin local time l_t(0) of the rate-1 walk."""
+def local_time_samples(dim: int, t: float, replicas: int, seed: int, tag=None) -> np.ndarray:
+    """MC sample of the origin local time l_t(0) of the rate-1 walk.
+
+    ``tag`` (int or tuple) overrides the default stream key, which is
+    (local-time key, t) and is the one :func:`chen_verify` uses itself.
+    """
+    if tag is None:
+        tag = (_KEY_LOCAL_TIME, _float_part(t))
     return _kernels.occupation_batch(
         dim, RWRS_RATE, t, seed, replicas, tag=tag, indicator=_origin_indicator
     )
@@ -533,12 +563,12 @@ def chen_verify(
         t / b_value,
         seed,
         a_replicas,
-        tag=3600 + int(round(b_value * 8)) + 64 * (int(round(t)) % 100_000),
+        tag=(_KEY_CHEN_BASE, _float_part(b_value), _float_part(t)),
         indicator=_origin_indicator,
     )
     a_value = float(base.mean() + 3 * base.std(ddof=1) / np.sqrt(a_replicas))
     if samples is None:
-        samples = local_time_samples(dim, t, replicas, seed, tag=3000 + int(round(t)) % 100_000)
+        samples = local_time_samples(dim, t, replicas, seed)
     occ = samples
     rows = []
     for lam in lambdas:
@@ -595,7 +625,7 @@ def khasminskii_verify(
     lhs, lhs_rel = -np.inf, 0.0
     for i, x in enumerate(sites):
         occ = _kernels.occupation_batch(
-            dim, RWRS_RATE, t, seed, replicas, tag=4000 + 16 * m + i, indicator=indicator, start=x
+            dim, RWRS_RATE, t, seed, replicas, (_KEY_KHASMINSKII, m, i), indicator, start=x
         )
         base = occ.mean()
         if base > sup_base:
@@ -674,7 +704,7 @@ def level_mean_occupation(
                     horizon,
                     master_seed,
                     replicas,
-                    tag=5_000_000 + 100_000 * ti + 100 * si + xi,
+                    tag=(_KEY_LEVEL, ti, si, xi),
                     indicator=indicator,
                     start=x,
                 )
@@ -717,8 +747,8 @@ def time_change_distribution_check(
     sites carrying ``mass`` of the combined distribution (remainder pooled
     into one bin) and compared at the given significance.
     """
-    direct = _kernels.vsrw_endpoints_batch(field, t, seed, replicas, tag=6000)
-    composed = _kernels.composed_endpoints_batch(field, t, seed, replicas, tag=6001)
+    direct = _kernels.vsrw_endpoints_batch(field, t, seed, replicas, tag=_KEY_VSRW)
+    composed = _kernels.composed_endpoints_batch(field, t, seed, replicas, tag=_KEY_COMPOSED)
     both = np.concatenate([direct, composed], axis=0)
     uniq, inverse, counts = np.unique(both, axis=0, return_inverse=True, return_counts=True)
     inverse = inverse.reshape(-1)

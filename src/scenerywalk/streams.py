@@ -18,19 +18,24 @@ import numpy as np
 CHUNK = 8192
 
 
-def philox(master_seed: int, *key_parts: int) -> np.random.Generator:
-    """Generator on an independent Philox stream keyed by (seed, parts...).
-
-    The variadic parts are folded into the second 64-bit key word with
-    multiplicative mixing, so distinct tuples give distinct streams.
-    """
+def key_word(*key_parts: int) -> int:
+    """Second 64-bit Philox key word: the parts folded with multiplicative mixing."""
     mask = 0xFFFFFFFFFFFFFFFF
     word = 0x9E3779B97F4A7C15
     for part in key_parts:
         word = (word * 0x100000001B3) & mask
         word ^= int(part) & mask
         word = (word * 0xC2B2AE3D27D4EB4F) & mask
-    key = np.array([int(master_seed) & mask, word], dtype=np.uint64)
+    return word
+
+
+def philox(master_seed: int, *key_parts: int) -> np.random.Generator:
+    """Generator on an independent Philox stream keyed by (seed, parts...).
+
+    The variadic parts are folded into the second 64-bit key word by
+    :func:`key_word`, so distinct tuples give distinct streams.
+    """
+    key = np.array([int(master_seed) & 0xFFFFFFFFFFFFFFFF, key_word(*key_parts)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from scenerywalk.cli import main
 
@@ -124,6 +125,19 @@ class TestSimulateCommand:
         assert run_cli(args + ["--out", str(f1)])[0] == 0
         assert run_cli(args + ["--out", str(f2)])[0] == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_provenance_covers_rho(self):
+        def provenance(rho):
+            code, out = run_cli(
+                [
+                    "simulate", "tail-scan", "--alpha", "0.5", "--dim", "1", "--rho", rho,
+                    "--t-grid", "100", "--replicas", "50", "--seed", "9",
+                ]
+            )
+            assert code == 0
+            return out.splitlines()[1].split(",")[-1]
+
+        assert provenance("1.2") != provenance("1.3")
 
     def test_zero_replicas_usage_error(self):
         code, _ = run_cli(
@@ -249,6 +263,16 @@ class TestChemdistCommand:
         assert abs(payload["slope"] - 2 / 3) < 0.25
 
 
+    def test_provenance_covers_seeds(self):
+        def provenance(seed):
+            args = ["chemdist", "--alpha", "1", "--dim", "1", "--delta", "1", "--seeds", "2"]
+            code, out = run_cli(args + ["--t-grid", "10:1000:5", "--seed", seed])
+            assert code == 0
+            return out.splitlines()[1].split(",")[-1]
+
+        assert provenance("1") != provenance("2")
+
+
 class TestVerifyCommand:
     def test_fast_suites_pass(self):
         code, out = run_cli(["verify", "--suite", "continuity,determinism"])
@@ -267,6 +291,20 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out_file.read_text())
         assert payload["results"][0]["passed"] is True
+
+
+    def test_over_budget_fails_with_statistic_reported(self, tmp_path, monkeypatch):
+        from scenerywalk import verify
+
+        slow = lambda: verify._timed("slow", 0.0, True, {}, time.perf_counter())
+        monkeypatch.setitem(verify.SUITES, "determinism", slow)
+        out_file = tmp_path / "report.json"
+        code, out = run_cli(["verify", "--suite", "determinism", "--out", str(out_file)])
+        assert code == 1
+        assert out.startswith("FAIL slow")
+        (row,) = json.loads(out_file.read_text())["results"]
+        assert not row["passed"]
+        assert row["statistic_passed"] and not row["within_budget"]
 
 
 class TestEntryPoint:

@@ -18,7 +18,7 @@ from scenerywalk.montecarlo import (
     tail_prob_scan,
 )
 from scenerywalk.scenery import ConstantField, SceneryField, TableField
-from scenerywalk.streams import philox
+from scenerywalk.streams import key_word, philox
 
 
 class TestLln:
@@ -267,8 +267,17 @@ class TestTimeChangeComparison:
 
 class TestKernels:
     def test_partition_of_time(self):
-        pos, dur = _kernels.srw_paths_batch(1, 1.0, 50.0, 256, philox(22, 0))
-        assert np.allclose(dur.sum(axis=1), 50.0, rtol=1e-9)
+        # the live mask holds N+1 sojourns, N the row's Poisson jump count
+        # (the first draw of the stream), and the drawn times sum to t
+        for dim in (1, 2):
+            jumps = philox(22, dim).poisson(50.0, size=256)
+            rng = philox(22, dim)
+            pos, live = _kernels.srw_paths_batch(dim, 1.0, 50.0, 256, rng)
+            assert np.array_equal(live.sum(axis=1) - 1, jumps)
+            sites, times = _kernels.local_times(pos, live, 50.0, rng)
+            assert sites.shape[:2] == times.shape
+            assert np.all(times >= 0)
+            assert np.allclose(times.sum(axis=1), 50.0, rtol=1e-12)
 
     def test_pareto_strip_matches_direct_hash(self):
         seeds = np.arange(8, dtype=np.uint64)
@@ -285,3 +294,38 @@ class TestKernels:
         # z == 1: each coordinate jumps at rate 2 -> variance 2t
         assert abs(ends[:, 0].var() / 60.0 - 1.0) <= 0.07
         assert abs(ends[:, 1].var() / 60.0 - 1.0) <= 0.07
+
+
+def _record_occupation_tags(monkeypatch, value):
+    """Replace the occupation kernel by a stub returning ``value``; return its tag log."""
+    tags = []
+
+    def stub(dim, rate, t, master_seed, count, tag, indicator, start=None):
+        tags.append(tag if isinstance(tag, tuple) else (tag,))
+        return np.full(count, value)
+
+    monkeypatch.setattr(montecarlo._kernels, "occupation_batch", stub)
+    return tags
+
+
+class TestStreamKeys:
+    def test_estimator_key_heads_distinct(self):
+        heads = [v for k, v in vars(montecarlo).items() if k.startswith("_KEY_")]
+        assert len(heads) == len(set(heads)) >= 10
+
+    def test_chen_default_sample_differs_from_khasminskii(self, monkeypatch):
+        # t = 1016, m = 1, i = 0 is where 3000 + t and 4000 + 16 m + i once coincided
+        tags = _record_occupation_tags(monkeypatch, 1.0)
+        chen_verify(1, 1016.0, 5.0, 16, seed=0)
+        khasminskii_verify(1, 1016.0, 1, 16, seed=0)
+        base, sample, khas = tags
+        assert len({key_word(*base, 0), key_word(*sample, 0), key_word(*khas, 0)}) == 3
+
+    def test_level_keys_distinct_for_many_starts_and_seeds(self, monkeypatch):
+        tags = _record_occupation_tags(monkeypatch, 0.0)
+        level_mean_occupation(1.0, 1, 1.0, 0.0, 50, [10.0], range(1000), 1, master_seed=0)
+        assert len(tags) == 101 * 1000
+        assert len({key_word(*tag, 0) for tag in tags}) == len(tags)
+
+    def test_local_time_cache_is_bounded(self):
+        assert montecarlo._local_time_tail.cache_info().maxsize == 8
