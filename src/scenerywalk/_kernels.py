@@ -247,13 +247,36 @@ def srw_endpoints_batch(
     return out
 
 
+def check_vsrw_budget(field, t: float, count: int) -> None:
+    """Refuse a layered VSRW run whose expected jump count exceeds ``JUMP_BUDGET``.
+
+    The walk jumps at rate 2 z(x2) + 2d, and its transverse part (total rate
+    2d) stays in the sup-norm ball of radius ceil(6 sqrt(2d t)) but with
+    negligible probability, so count (2 z_max + 2d) t, with z_max the largest
+    z on that ball, estimates the jumps of ``count`` walks up to time t.
+    """
+    d = field.dim
+    radius = int(np.ceil(6.0 * np.sqrt(2.0 * d * t)))
+    z_max, _ = scenery.box_max(field, radius)
+    expected = count * (2.0 * z_max + 2.0 * d) * t
+    if expected > scenery.JUMP_BUDGET:
+        raise scenery.JumpBudgetError(
+            f"VSRW expects about {expected:.3g} jumps (count {count}, t {t:g}, "
+            f"max z {z_max:.6g} within radius {radius}), budget {scenery.JUMP_BUDGET}"
+        )
+
+
 def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag) -> np.ndarray:
     """Endpoints X_t of the layered VSRW for ``count`` replicas (fixed field).
 
     Synchronous event-driven stepping: all active replicas advance one jump
     per iteration with site-dependent exponential clocks; rows are dropped
-    as they pass the horizon.
+    as they pass the horizon.  Each row carries its z(x2) and exit rate, and
+    the field is evaluated again only for the rows that made a transverse
+    jump, since a vertical jump leaves x2 unchanged.  :func:`check_vsrw_budget`
+    refuses the run before the first draw when its expected cost is too large.
     """
+    check_vsrw_budget(field, t, count)
     d = field.dim
     out = np.empty((count, 1 + d), dtype=np.int64)
     for c, (lo, hi) in enumerate(chunk_ranges(count, 16384)):
@@ -263,10 +286,10 @@ def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag) -> 
         clock = np.zeros(n)
         idx = np.arange(n)
         final = np.empty((n, 1 + d), dtype=np.int64)
+        z = field.values(pos[:, 1:])
+        rate = 2.0 * z + 2.0 * d
         while idx.size:
-            z = field.values(pos[:, 1:])
-            rate = 2.0 * z + 2.0 * d
-            clock = clock + rng.exponential(1.0, size=idx.size) / rate
+            clock += rng.exponential(1.0, size=idx.size) / rate
             done = clock > t
             if np.any(done):
                 final[idx[done]] = pos[done]
@@ -276,16 +299,18 @@ def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag) -> 
                 if not idx.size:
                     break
             u = rng.random(idx.size) * rate
-            vertical = u < 2.0 * z
-            if np.any(vertical):
-                rows = np.flatnonzero(vertical)
-                pos[rows, 0] += np.where(u[rows] < z[rows], 1, -1)
-            trans = np.flatnonzero(~vertical)
+            up = u < z
+            transverse = u >= 2.0 * z
+            # +1 on u < z, -1 on z <= u < 2z, 0 on a transverse jump
+            pos[:, 0] += 2 * up - 1 + transverse
+            trans = np.flatnonzero(transverse)
             if trans.size:
                 v = u[trans] - 2.0 * z[trans]
                 k = np.minimum((v // 2.0).astype(np.int64), d - 1)
                 sign = np.where(v - 2.0 * k < 1.0, 1, -1)
                 pos[trans, 1 + k] += sign
+                z[trans] = field.values(pos[trans, 1:])
+                rate[trans] = 2.0 * z[trans] + 2.0 * d
         out[lo:hi] = final
     return out
 

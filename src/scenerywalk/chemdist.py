@@ -22,19 +22,21 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .scenery import SITE_BUDGET, SceneryField, SiteBudgetError
+from .scenery import SITE_BUDGET, SceneryField, SiteBudgetError, grid_sites
 from .stats import loglog_slope
 
 
-def edge_weight(conductance: float) -> float:
-    """Chemical edge weight 1/(sqrt(conductance) v 1)."""
-    if conductance <= 0:
-        raise ValueError(f"conductance must be positive, got {conductance}")
-    return 1.0 / max(np.sqrt(conductance), 1.0)
+def edge_weight(conductance):
+    """Chemical edge weight 1/(sqrt(conductance) v 1), elementwise on arrays."""
+    c = np.asarray(conductance, dtype=np.float64)
+    if np.any(c <= 0):
+        raise ValueError(f"conductance must be positive, got {c.min()}")
+    return 1.0 / np.maximum(np.sqrt(c), 1.0)
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,12 @@ class LayeredGraphSpec:
 
     ``box`` is a tuple of (lo, hi) inclusive coordinate ranges, one per
     coordinate of Z^(1+d) (so len(box) == 1 + field.dim).
+
+    A vertical edge's weight depends only on its transverse site x2, so the
+    spec evaluates the field once, with one ``field.values`` call over the
+    transverse sites of the box, the first time a vertical edge is weighed;
+    every later :meth:`weight` call reads that table.  The field must not
+    change while the spec is in use.
     """
 
     field: object
@@ -64,14 +72,18 @@ class LayeredGraphSpec:
             n *= hi - lo + 1
         return n
 
-    def conductance(self, a: tuple, b: tuple) -> float:
-        """Conductance of the edge between nearest neighbours a and b."""
-        if a[0] != b[0]:
-            return float(self.field.value_at(a[1:]))
-        return 1.0
+    @cached_property
+    def _vertical_weights(self) -> dict:
+        """Vertical edge weight per transverse site of the box (x2 tuple -> weight)."""
+        sites = grid_sites(self.box[1:])
+        weights = edge_weight(self.field.values(sites))
+        return dict(zip(map(tuple, sites.tolist()), weights.tolist()))
 
     def weight(self, a: tuple, b: tuple) -> float:
-        return edge_weight(self.conductance(a, b))
+        """Weight of the edge between nearest neighbours a and b of the box."""
+        if a[0] != b[0]:
+            return self._vertical_weights[a[1:]]
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -212,12 +224,7 @@ def detour_distance(field, x, y) -> float:
     n = int(np.prod(hi - lo + 1))
     if n > SITE_BUDGET:
         raise SiteBudgetError(f"detour search over {n} sites exceeds budget {SITE_BUDGET}")
-    if d == 1:
-        w = np.arange(lo[0], hi[0] + 1, dtype=np.int64)[:, None]
-    else:
-        axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        w = np.stack([g.ravel() for g in mesh], axis=-1)
+    w = grid_sites(zip(lo, hi))
     z = field.values(w)
     excess = np.abs(w - x2).sum(axis=-1) + np.abs(w - y2).sum(axis=-1)
     cost = excess + dx1 / np.sqrt(z)

@@ -10,8 +10,7 @@ are explicit parameters everywhere.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -154,10 +153,14 @@ def simulate_vsrw(field, horizon: float, rng: np.random.Generator) -> WalkPath:
 
     At (x1, x2) the exit rate is 2 z(x2) + 2 d: each vertical edge carries
     rate z(x2), each transverse edge rate 1.  Simulated by per-site
-    exponential clocks (no uniformisation; the rates are unbounded).
+    exponential clocks (no uniformisation; the rates are unbounded), after
+    the expected cost has passed ``_kernels.check_vsrw_budget``.
     """
+    from . import _kernels
+
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    _kernels.check_vsrw_budget(field, horizon, 1)
     d = field.dim
     pos = np.zeros(1 + d, dtype=np.int64)
     t = 0.0

@@ -39,9 +39,16 @@ PARETO_EXACT = "ParetoExact"
 #: Enumeration guard above which :func:`level_set` refuses to materialise a box.
 SITE_BUDGET = 1 << 24
 
+#: Expected-jump guard above which the layered VSRW simulators refuse to run.
+JUMP_BUDGET = 1 << 32
+
 
 class SiteBudgetError(RuntimeError):
     """Raised when a level-set enumeration would exceed :data:`SITE_BUDGET`."""
+
+
+class JumpBudgetError(RuntimeError):
+    """Raised when a VSRW run is expected to exceed :data:`JUMP_BUDGET` jumps."""
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -189,17 +196,17 @@ def box_sites(radius: int, dim: int) -> np.ndarray:
     """All lattice sites with sup-norm <= radius, lexicographically ordered."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    side = np.arange(-radius, radius + 1, dtype=np.int64)
     n = (2 * radius + 1) ** dim
     if n > SITE_BUDGET:
         raise SiteBudgetError(f"box with {n} sites exceeds budget {SITE_BUDGET}")
-    grids = np.meshgrid(*([side] * dim), indexing="ij")
+    return grid_sites([(-radius, radius)] * dim)
+
+
+def grid_sites(ranges) -> np.ndarray:
+    """Sites of a product of inclusive (lo, hi) ranges, lexicographically ordered."""
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
+    grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def sample_site(field, x) -> float:
-    """Scenery value at site ``x`` (deterministic in (seed, x))."""
-    return field.value_at(x)
 
 
 def box_max(field, radius: int) -> tuple[float, tuple]:

@@ -125,6 +125,58 @@ class TestDijkstraAll:
             assert d == pytest.approx(dijkstra_distance(box, spec.weight, (0, 0), target))
 
 
+class CountingField:
+    """Field double that counts its ``values`` calls."""
+
+    def __init__(self, field):
+        self.field = field
+        self.dim = field.dim
+        self.values_calls = 0
+
+    def values(self, sites):
+        self.values_calls += 1
+        return self.field.values(sites)
+
+    def value_at(self, site):
+        return self.field.value_at(site)
+
+
+class TestVerticalWeightTable:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            SceneryField(alpha=0.7, dim=1, seed=11),
+            SceneryField(alpha=1.0, dim=2, seed=12),
+            TableField({(1,): 9.0, (2,): 0.5, (-1,): 2.0}, dim=1),
+            ConstantField(3.0, 1),
+        ],
+        ids=["scenery-d1", "scenery-d2", "table", "constant"],
+    )
+    def test_weight_equals_field_lookup(self, field):
+        box = ((-2, 2),) + ((-2, 3),) * field.dim
+        spec = LayeredGraphSpec(field=field, box=box)
+        edges = 0
+        for a in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+            for b in chemdist._neighbours(a, box):
+                expected = edge_weight(field.value_at(a[1:])) if a[0] != b[0] else 1.0
+                assert spec.weight(a, b) == expected
+                edges += 1
+        assert edges > 0
+
+    def test_zero_conductance_raises(self):
+        spec = LayeredGraphSpec(field=TableField({(1,): 0.0}, dim=1), box=((0, 2), (0, 2)))
+        with pytest.raises(ValueError):
+            chemical_distance(spec, (0, 0), (2, 2))
+
+    def test_one_values_call_per_sweep(self):
+        field = CountingField(SceneryField(alpha=1.0, dim=1, seed=40_000))
+        box = ((0, 4), (0, 4))
+        spec = LayeredGraphSpec(field=field, box=box)
+        for s in itertools.product(range(5), range(5)):
+            chemdist.dijkstra_all(box, spec.weight, s)
+        assert field.values_calls == 1
+
+
 class TestMetricAxioms:
     @pytest.mark.parametrize("seed", range(10))
     def test_axioms_on_small_boxes(self, seed):

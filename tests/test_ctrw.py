@@ -18,7 +18,7 @@ from scenerywalk.ctrw import (
     transition_prob_mc,
 )
 from scenerywalk.calibration import CALIBRATION
-from scenerywalk.scenery import ConstantField, SceneryField
+from scenerywalk.scenery import ConstantField, JumpBudgetError, SceneryField
 from scenerywalk.streams import philox
 
 
@@ -90,6 +90,12 @@ class TestSimulateVsrw:
         frac = vertical / total
         se = np.sqrt(0.75 * 0.25 / total)
         assert abs(frac - c / (c + d)) <= 3 * se
+
+    def test_budget_refuses_before_any_draw(self):
+        rng = philox(7, 2)
+        with pytest.raises(JumpBudgetError, match="jumps"):
+            simulate_vsrw(ConstantField(1e9, 1), 50.0, rng)
+        assert rng.random() == philox(7, 2).random()
 
     def test_path_invariants(self):
         f = SceneryField(alpha=1.0, dim=2, seed=8)

@@ -5,6 +5,10 @@ exponential holding time per jump and clips the cumulative jump times at
 the horizon, so every sojourn duration is explicit.  The package kernels
 draw only the jump skeleton and the time spent per site; both must give the
 same laws, which the two-sample KS tests check at fixed seeds.
+
+``reference_vsrw_endpoints`` is the per-step VSRW loop that evaluates the
+field on every active row at every iteration; the package kernel makes the
+same draws in the same order and must return the same endpoints exactly.
 """
 
 import numpy as np
@@ -13,7 +17,9 @@ from scipy import integrate, stats
 from scipy.special import ive
 
 from scenerywalk import _kernels, montecarlo
-from scenerywalk.streams import philox
+from scenerywalk.calibration import CALIBRATION
+from scenerywalk.scenery import ConstantField, JumpBudgetError, SceneryField
+from scenerywalk.streams import chunk_ranges, philox
 
 
 def oracle_paths(dim, rate, t, count, rng):
@@ -51,6 +57,44 @@ def oracle_additive_functional(alpha, dim, t, count, seed, batch=100):
         z = _kernels.pareto_values_at(field_seeds, pos, alpha)
         out.append((z * dur).sum(axis=1))
     return np.concatenate(out)
+
+
+def reference_vsrw_endpoints(field, t, master_seed, count, tag):
+    """VSRW endpoints with z(x2) re-evaluated on every row at every step."""
+    d = field.dim
+    out = np.empty((count, 1 + d), dtype=np.int64)
+    for c, (lo, hi) in enumerate(chunk_ranges(count, 16384)):
+        rng = philox(master_seed, *_kernels._key(tag), c)
+        n = hi - lo
+        pos = np.zeros((n, 1 + d), dtype=np.int64)
+        clock = np.zeros(n)
+        idx = np.arange(n)
+        final = np.empty((n, 1 + d), dtype=np.int64)
+        while idx.size:
+            z = field.values(pos[:, 1:])
+            rate = 2.0 * z + 2.0 * d
+            clock = clock + rng.exponential(1.0, size=idx.size) / rate
+            done = clock > t
+            if np.any(done):
+                final[idx[done]] = pos[done]
+                keep = ~done
+                pos, clock, idx = pos[keep], clock[keep], idx[keep]
+                z, rate = z[keep], rate[keep]
+                if not idx.size:
+                    break
+            u = rng.random(idx.size) * rate
+            vertical = u < 2.0 * z
+            if np.any(vertical):
+                rows = np.flatnonzero(vertical)
+                pos[rows, 0] += np.where(u[rows] < z[rows], 1, -1)
+            trans = np.flatnonzero(~vertical)
+            if trans.size:
+                v = u[trans] - 2.0 * z[trans]
+                k = np.minimum((v // 2.0).astype(np.int64), d - 1)
+                sign = np.where(v - 2.0 * k < 1.0, 1, -1)
+                pos[trans, 1 + k] += sign
+        out[lo:hi] = final
+    return out
 
 
 def origin(pos):
@@ -92,3 +136,32 @@ class TestExactValues:
         occ = montecarlo.local_time_samples(1, t, 100_000, seed=36)
         se = occ.std(ddof=1) / np.sqrt(occ.size)
         assert abs(occ.mean() - exact) <= 4 * se
+
+
+class TestVsrwKernel:
+    @pytest.mark.parametrize(
+        "field,t,count",
+        [
+            (SceneryField(alpha=CALIBRATION["vsrw_fixture"]["alpha"], dim=1,
+                          seed=CALIBRATION["vsrw_fixture"]["seed"]), 50.0, 4000),
+            (SceneryField(alpha=1.5, dim=2, seed=3), 10.0, 3000),
+        ],
+    )
+    def test_matches_per_step_reference(self, field, t, count):
+        fast = _kernels.vsrw_endpoints_batch(field, t, 41, count, tag=(5, field.dim))
+        slow = reference_vsrw_endpoints(field, t, 41, count, tag=(5, field.dim))
+        assert np.array_equal(fast, slow)
+
+    def test_budget_refuses_before_any_draw(self, monkeypatch):
+        def no_stream(*key):
+            raise AssertionError("a stream was opened")
+
+        monkeypatch.setattr(_kernels, "philox", no_stream)
+        with pytest.raises(JumpBudgetError, match="jumps"):
+            _kernels.vsrw_endpoints_batch(ConstantField(1e9, 1), 50.0, 1, 1, tag=0)
+
+    def test_budget_admits_timechange_suite(self):
+        # 1e5 replicas at t=50 on the fixture expect about 1.1e9 jumps
+        fx = CALIBRATION["vsrw_fixture"]
+        field = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
+        _kernels.check_vsrw_budget(field, 50.0, 100_000)

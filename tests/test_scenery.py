@@ -13,7 +13,6 @@ from scenerywalk.scenery import (
     exceedance_prob,
     level_set,
     pareto_from_uniform,
-    sample_site,
 )
 from scenerywalk.stats import ks_statistic
 
@@ -37,7 +36,7 @@ class TestInverseCdf:
 class TestDeterminism:
     def test_repeated_queries_bit_exact(self):
         f = SceneryField(alpha=1.0, dim=1, seed=99)
-        assert sample_site(f, (5,)) == sample_site(f, (5,))
+        assert f.value_at((5,)) == f.value_at((5,))
 
     def test_out_of_order_queries_agree(self):
         f = SceneryField(alpha=2.0, dim=2, seed=7)
