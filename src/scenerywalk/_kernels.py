@@ -20,10 +20,12 @@ laws and serve as oracles.
 
 Randomness comes from Philox streams keyed by (master seed, *tag, chunk
 index) with a fixed chunk size, where ``tag`` is an int or a tuple of ints.
-Inside a stream chunk the rows are processed in memory-bounded sub-batches
-that consume the stream in a fixed order (skeleton, then the reducer's
-draws).  Results are therefore bit-reproducible and independent of the
-parallelism degree.
+:func:`skeletons` is the one sub-batch loop: it draws the rows of one
+stream in memory-bounded sub-batches, and every reducer consumes the stream
+in a fixed order (skeleton, then the reducer's draws).  Results are
+therefore bit-reproducible and independent of the parallelism degree.
+Field values at batched positions come from one lookup, which for d = 1
+evaluates the strip of sites a batch spans once and gathers from it.
 """
 
 from __future__ import annotations
@@ -41,17 +43,6 @@ def _jump_capacity(rate: float, t: float) -> int:
     """Jump columns that a Poisson(rate t) count exceeds with negligible probability."""
     mean_jumps = rate * t
     return int(np.ceil(mean_jumps + 12.0 * np.sqrt(mean_jumps + 1.0) + 30.0))
-
-
-def _sub_batches(rows: int, m: int) -> list[int]:
-    size = max(16, _ELEMENT_BUDGET // max(m, 1))
-    out = []
-    left = rows
-    while left > 0:
-        take = min(size, left)
-        out.append(take)
-        left -= take
-    return out
 
 
 def _key(tag) -> tuple:
@@ -91,9 +82,22 @@ def srw_paths_batch(
     return pos, live
 
 
-def endpoint_index(live: np.ndarray) -> np.ndarray:
-    """Index of the sojourn containing the horizon (last live sojourn)."""
-    return live.sum(axis=1) - 1
+def endpoints(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Sites ``(rows, dim)`` the skeletons occupy at the horizon (last live sojourn)."""
+    return pos[np.arange(pos.shape[0]), live.sum(axis=1) - 1]
+
+
+def skeletons(dim: int, rate: float, t: float, count: int, rng: np.random.Generator):
+    """Yield ``(rows, pos, live)`` for ``count`` skeletons drawn from one stream.
+
+    The replicas come in sub-batches of at most ``_ELEMENT_BUDGET`` jump
+    cells, which bounds peak memory; ``rows`` is the slice of replicas that
+    ``pos, live`` (see :func:`srw_paths_batch`) cover.
+    """
+    size = max(16, _ELEMENT_BUDGET // _jump_capacity(rate, t))
+    for lo, hi in chunk_ranges(count, size):
+        pos, live = srw_paths_batch(dim, rate, t, hi - lo, rng)
+        yield slice(lo, hi), pos, live
 
 
 def _skeletons(dim: int, rate: float, t: float, master_seed: int, count: int, tag):
@@ -103,14 +107,10 @@ def _skeletons(dim: int, rate: float, t: float, master_seed: int, count: int, ta
     variables from ``rng`` before the next sub-batch, which fixes the order
     in which each chunk's stream is consumed.
     """
-    m = _jump_capacity(rate, t)
     for c, (lo, hi) in enumerate(chunk_ranges(count)):
         rng = philox(master_seed, *_key(tag), c)
-        row = lo
-        for rows in _sub_batches(hi - lo, m):
-            pos, live = srw_paths_batch(dim, rate, t, rows, rng)
-            yield slice(row, row + rows), rng, pos, live
-            row += rows
+        for rows, pos, live in skeletons(dim, rate, t, hi - lo, rng):
+            yield slice(lo + rows.start, lo + rows.stop), rng, pos, live
 
 
 def local_times(pos: np.ndarray, live: np.ndarray, t: float, rng: np.random.Generator):
@@ -143,35 +143,32 @@ def local_times(pos: np.ndarray, live: np.ndarray, t: float, rng: np.random.Gene
     return sites, times
 
 
-def pareto_values_at(seeds, pos: np.ndarray, alpha: float) -> np.ndarray:
-    """Pareto(alpha) field values at batched positions, one field per row seed.
+def _values_at(values, pos: np.ndarray) -> np.ndarray:
+    """``values(sites)`` at batched positions ``pos (rows, k, dim)``.
 
-    For one-dimensional fields a value strip covering the batch range is
-    hashed once per row and gathered, which is much cheaper than hashing
-    every sojourn; higher dimensions hash positions directly.
+    For d = 1 the strip of sites the batch spans is evaluated once, as a
+    ``(1, w, 1)`` site array, and every position gathers its value from it,
+    which is much cheaper than evaluating every sojourn; higher dimensions
+    evaluate the positions directly.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    dim = pos.shape[-1]
-    if dim == 1:
-        lo = int(pos.min())
-        hi = int(pos.max())
-        strip_sites = np.arange(lo, hi + 1, dtype=np.int64)[None, :, None]
-        u = scenery.site_uniforms(seeds[:, None], strip_sites)
-        strip = scenery.pareto_from_uniform(u, alpha)
-        return np.take_along_axis(strip, pos[..., 0].astype(np.int64) - lo, axis=1)
-    u = scenery.site_uniforms(seeds[:, None], pos.astype(np.int64))
-    return scenery.pareto_from_uniform(u, alpha)
+    if pos.shape[-1] != 1:
+        return values(pos.astype(np.int64))
+    lo = int(pos.min())
+    strip = values(np.arange(lo, int(pos.max()) + 1, dtype=np.int64)[None, :, None])
+    return np.take_along_axis(strip, pos[..., 0].astype(np.int64) - lo, axis=1)
+
+
+def pareto_values_at(seeds, pos: np.ndarray, alpha: float) -> np.ndarray:
+    """Pareto(alpha) field values at batched positions, one field per row seed."""
+    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
+    return _values_at(
+        lambda sites: scenery.pareto_from_uniform(scenery.site_uniforms(seeds, sites), alpha), pos
+    )
 
 
 def field_values_at(field, pos: np.ndarray) -> np.ndarray:
-    """Values of a fixed field at batched positions (strip-gathered for d=1)."""
-    dim = pos.shape[-1]
-    if dim == 1 and hasattr(field, "seed"):
-        lo = int(pos.min())
-        hi = int(pos.max())
-        strip = field.values(np.arange(lo, hi + 1, dtype=np.int64)[:, None])
-        return strip[pos[..., 0].astype(np.int64) - lo]
-    return field.values(pos.astype(np.int64))
+    """Values of a fixed field at batched positions."""
+    return _values_at(field.values, pos)
 
 
 def additive_functional_batch(
@@ -243,7 +240,7 @@ def srw_endpoints_batch(
     """Positions S_t of the CTSRW for ``count`` replicas, shape (count, dim)."""
     out = np.empty((count, dim), dtype=np.int64)
     for rows, _, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
-        out[rows] = pos[np.arange(pos.shape[0]), endpoint_index(live)]
+        out[rows] = endpoints(pos, live)
     return out
 
 
@@ -329,5 +326,5 @@ def composed_endpoints_batch(field, t: float, master_seed: int, count: int, tag)
         sites, times = local_times(pos, live, t, rng)
         a2 = np.einsum("ij,ij->i", field_values_at(field, sites), times)
         out[rows, 0] = rng.poisson(a2) - rng.poisson(a2)
-        out[rows, 1:] = pos[np.arange(pos.shape[0]), endpoint_index(live)]
+        out[rows, 1:] = endpoints(pos, live)
     return out

@@ -2,9 +2,10 @@
 
 Subcommands: ``exponents`` (phase-diagram tables), ``simulate`` (Monte Carlo
 estimators), ``chemdist`` (distance scaling fits) and ``verify`` (acceptance
-suites).  Configuration can come from a JSON file (--config) with flags
-winning over file values; the master seed falls back to the
-``SCENERYWALK_SEED`` environment variable.
+suites), each taking only the flags it reads.  Configuration can come from a
+JSON file (--config): flags win over file values, and file values over the
+defaults; the master seed falls back to the ``SCENERYWALK_SEED`` environment
+variable.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refused by
 design (stretched-exponential Monte Carlo request).
@@ -22,24 +23,27 @@ import numpy as np
 from . import __version__, chemdist, exponents, montecarlo, reporting, verify
 from .montecarlo import StretchedRegimeError
 
-_CONFIG_KEYS = {
-    "alpha",
-    "dim",
-    "rho",
-    "delta",
-    "gamma",
-    "t_grid",
-    "replicas",
-    "seed",
-    "out",
-    "format",
-    "jobs",
-    "which",
-    "task",
-    "quantile",
-    "suite",
-    "seeds",
-    "field",
+#: flag name -> add_argument keywords; a default is applied only after the
+#: config file is read, so that it cannot override a file value
+_FLAGS = {
+    "config": dict(help="JSON config file; explicit flags win"),
+    "alpha": dict(help="tail index, value or grid (list/lo:hi:n)"),
+    "dim": dict(type=int, help="lattice dimension d"),
+    "rho": dict(help="deviation exponent rho (value or grid)"),
+    "delta": dict(help="vertical displacement exponent delta"),
+    "gamma": dict(help="transverse displacement exponent gamma"),
+    "t_grid": dict(help="time grid, list or lo:hi:n (geometric)"),
+    "replicas": dict(type=int, help="Monte Carlo replicas"),
+    "seed": dict(type=int, help="master seed (env SCENERYWALK_SEED fallback)"),
+    "out": dict(help="output path (default stdout, write-once)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "jobs": dict(type=int, help="parallel evaluation slots"),
+    "which": dict(choices=("p", "q", "displacement"), help="table kind"),
+    "quantile": dict(type=float, default=0.5),
+    "b_value": dict(type=float, default=5.0),
+    "moment": dict(type=int, default=2),
+    "seeds": dict(type=int, default=20, help="number of environments"),
+    "suite": dict(default="all", help="comma list of suite names or 'all'"),
 }
 
 
@@ -78,54 +82,43 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"scenerywalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--alpha", help="tail index, value or grid (list/lo:hi:n)")
-        p.add_argument("--dim", type=int, help="lattice dimension d")
-        p.add_argument("--rho", help="deviation exponent rho (value or grid)")
-        p.add_argument("--delta", help="vertical displacement exponent delta")
-        p.add_argument("--gamma", help="transverse displacement exponent gamma")
-        p.add_argument("--t-grid", dest="t_grid", help="time grid, list or lo:hi:n (geometric)")
-        p.add_argument("--replicas", type=int, help="Monte Carlo replicas")
-        p.add_argument("--seed", type=int, help="master seed (env SCENERYWALK_SEED fallback)")
-        p.add_argument("--out", default=None, help="output path (default stdout, write-once)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--jobs", type=int, default=None, help="parallel evaluation slots")
+    def add(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in ("config", *flags, "out"):
+            spec = dict(_FLAGS[flag], default=None)
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **spec)
+        return p
 
-    p_exp = sub.add_parser("exponents", help="tabulate exponent phase diagrams")
-    common(p_exp)
-    p_exp.add_argument("--which", choices=("p", "q", "displacement"), help="table kind")
-
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo estimator")
-    p_sim.add_argument(
-        "task", choices=("lln", "scaling", "tail-scan", "chen", "khasminskii")
-    )
-    common(p_sim)
-    p_sim.add_argument("--quantile", type=float, default=0.5)
-    p_sim.add_argument("--b-value", dest="b_value", type=float, default=5.0)
-    p_sim.add_argument("--moment", type=int, default=2)
-
-    p_chem = sub.add_parser("chemdist", help="chemical distance scaling fit")
-    common(p_chem)
-    p_chem.add_argument("--seeds", type=int, default=20, help="number of environments")
-
-    p_ver = sub.add_parser("verify", help="run acceptance suites")
-    common(p_ver)
-    p_ver.add_argument("--suite", default="all", help="comma list of suite names or 'all'")
+    add("exponents", "tabulate exponent phase diagrams",
+        "alpha", "dim", "rho", "delta", "gamma", "which", "format")
+    p_sim = add("simulate", "run a Monte Carlo estimator",
+                "alpha", "dim", "rho", "delta", "gamma", "t_grid", "replicas", "seed", "format",
+                "jobs", "quantile", "b_value", "moment")
+    p_sim.add_argument("task", choices=("lln", "scaling", "tail-scan", "chen", "khasminskii"))
+    add("chemdist", "chemical distance scaling fit",
+        "alpha", "dim", "delta", "gamma", "t_grid", "seed", "format", "seeds")
+    add("verify", "run acceptance suites", "suite")
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config: {exc}")
-    unknown = set(cfg) - _CONFIG_KEYS
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill flags left unset from the --config file, then from the defaults.
+
+    A config may set only the flags its subcommand takes, plus a ``field``
+    record where the subcommand takes --alpha, --dim and --seed.
+    """
+    flags = set(vars(args)) - {"command", "task", "config"}
+    cfg = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read config: {exc}")
+    allowed = flags | ({"field"} if {"alpha", "dim", "seed"} <= flags else set())
+    unknown = set(cfg) - allowed
     if unknown:
-        parser.error(f"unknown config fields: {sorted(unknown)}")
+        parser.error(f"config fields not read by {args.command}: {sorted(unknown)}")
     if "field" in cfg:
         # scenery description record {alpha, dim, seed, law}
         from .scenery import SceneryField
@@ -137,13 +130,13 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         cfg.setdefault("alpha", fld.alpha)
         cfg.setdefault("dim", fld.dim)
         cfg.setdefault("seed", fld.seed)
-    for key, value in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    for key in flags:
+        if getattr(args, key) is None:
+            setattr(args, key, cfg.get(key, _FLAGS[key].get("default")))
 
 
 def _master_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return int(args.seed)
     env = os.environ.get("SCENERYWALK_SEED")
     if env is not None:
@@ -152,9 +145,8 @@ def _master_seed(args) -> int:
 
 
 def _emit(args, header, rows, payload) -> None:
-    fmt = args.format or "csv"
     out = args.out or "-"
-    if fmt == "csv":
+    if args.format == "csv":
         reporting.write_text(out, reporting.render_csv(header, rows))
     else:
         reporting.write_text(out, reporting.render_json(payload))
@@ -401,7 +393,7 @@ def _cmd_verify(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    _resolve(args, parser)
     try:
         if args.command == "exponents":
             return _cmd_exponents(args, parser)

@@ -11,11 +11,11 @@ are explicit parameters everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ive
 
+from . import _kernels
 from .stats import TailEstimate, tail_estimate
 
 
@@ -79,25 +79,6 @@ class WalkPath:
 
 
 @dataclass(frozen=True)
-class RateModel:
-    """Jump-rate description: plain SRW or the layered conductance VSRW."""
-
-    kind: str  # "srw" | "layered_vsrw"
-    total_rate: float = 1.0
-    field: Optional[object] = None
-
-    def __post_init__(self):
-        if self.kind == "srw":
-            if self.total_rate <= 0:
-                raise ValueError("SRW total_rate must be positive")
-        elif self.kind == "layered_vsrw":
-            if self.field is None:
-                raise ValueError("layered VSRW needs a scenery field")
-        else:
-            raise ValueError(f"unknown rate model {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class HKConstants:
     """Envelope constants c1..c4; fitted artifacts, not universal values."""
 
@@ -109,17 +90,6 @@ class HKConstants:
     def __post_init__(self):
         if min(self.c1, self.c2, self.c3, self.c4) <= 0:
             raise ValueError("heat-kernel constants must be strictly positive")
-
-
-def simulate(model: RateModel, dim: int, horizon: float, rng: np.random.Generator) -> WalkPath:
-    """Dispatch on a rate model: plain SRW or the layered VSRW.
-
-    ``dim`` is the lattice dimension for SRW and the transverse dimension
-    for the layered walk (whose paths live in Z^(1+dim)).
-    """
-    if model.kind == "srw":
-        return simulate_srw(dim, model.total_rate, horizon, rng)
-    return simulate_vsrw(model.field, horizon, rng)
 
 
 def simulate_srw(dim: int, total_rate: float, horizon: float, rng: np.random.Generator) -> WalkPath:
@@ -156,8 +126,6 @@ def simulate_vsrw(field, horizon: float, rng: np.random.Generator) -> WalkPath:
     exponential clocks (no uniformisation; the rates are unbounded), after
     the expected cost has passed ``_kernels.check_vsrw_budget``.
     """
-    from . import _kernels
-
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     _kernels.check_vsrw_budget(field, horizon, 1)
@@ -243,8 +211,6 @@ def transition_prob_mc(
     choices) and counts endpoint hits, so it is an independent check of the
     Bessel-series value.
     """
-    from . import _kernels
-
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if t <= 0:
@@ -252,11 +218,7 @@ def transition_prob_mc(
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     if x.size != dim:
         raise ValueError(f"x must have {dim} coordinates")
-    m = _kernels._jump_capacity(total_rate, t)
     hits = 0
-    for rows in _kernels._sub_batches(replicas, m):
-        pos, live = _kernels.srw_paths_batch(dim, total_rate, t, rows, rng)
-        k = _kernels.endpoint_index(live)
-        ends = pos[np.arange(rows), k].astype(np.int64)
-        hits += int(np.sum(np.all(ends == x, axis=-1)))
+    for _, pos, live in _kernels.skeletons(dim, total_rate, t, replicas, rng):
+        hits += int(np.sum(np.all(_kernels.endpoints(pos, live) == x, axis=-1)))
     return tail_estimate(hits, replicas, log_t=float(np.log(t)))

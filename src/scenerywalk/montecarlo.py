@@ -32,10 +32,10 @@ from .scenery import SceneryField, box_sites
 from .stats import (
     SlopeFit,
     TailEstimate,
-    Z95,
     loglog_slope,
     tail_estimate,
     two_sample_chisquare,
+    wilson_ci,
     ChiSquareResult,
 )
 
@@ -371,15 +371,6 @@ def _local_time_tail(dim: int, rate: float, window: float, replicas: int = 200_0
     return np.sort(occ)
 
 
-def _wilson_low_vec(k: np.ndarray, n: int) -> np.ndarray:
-    p = k / n
-    z = Z95
-    denom = 1 + z * z / n
-    centre = (p + z * z / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return np.maximum(0.0, centre - half)
-
-
 def _log_stay_prob(dim: int, rate: float, window: float, amounts: np.ndarray) -> np.ndarray:
     """Certified log lower bound for P(l_window(0) >= amount).
 
@@ -391,7 +382,7 @@ def _log_stay_prob(dim: int, rate: float, window: float, amounts: np.ndarray) ->
     n = samples.size
     counts = n - np.searchsorted(samples, amounts, side="left")
     with np.errstate(divide="ignore"):
-        log_mc = np.log(_wilson_low_vec(counts, n))
+        log_mc = np.log(wilson_ci(counts, n)[0])
     log_exact = -rate * np.asarray(amounts)
     return np.maximum(log_mc, log_exact)
 
@@ -624,9 +615,8 @@ def khasminskii_verify(
     sup_base, sup_base_rel = -np.inf, 0.0
     lhs, lhs_rel = -np.inf, 0.0
     for i, x in enumerate(sites):
-        occ = _kernels.occupation_batch(
-            dim, RWRS_RATE, t, seed, replicas, (_KEY_KHASMINSKII, m, i), indicator, start=x
-        )
+        key = (_KEY_KHASMINSKII, _float_part(t), m, i)
+        occ = _kernels.occupation_batch(dim, RWRS_RATE, t, seed, replicas, key, indicator, start=x)
         base = occ.mean()
         if base > sup_base:
             sup_base = base

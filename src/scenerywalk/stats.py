@@ -30,16 +30,24 @@ class TailEstimate:
             raise ValueError("Wilson interval must bracket the point estimate")
 
 
-def wilson_ci(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(successes, trials: int, z: float = Z95):
+    """Wilson score interval for a binomial proportion.
+
+    ``successes`` may be an int, giving two floats, or an array, giving two
+    arrays computed elementwise with the same arithmetic.  The bounds are
+    exactly 0 at no success and exactly 1 at all successes.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    p = successes / trials
+    k = np.asarray(successes)
+    p = k / trials
     denom = 1 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    lo = 0.0 if successes == 0 else max(0.0, centre - half)
-    hi = 1.0 if successes == trials else min(1.0, centre + half)
+    lo = np.where(k == 0, 0.0, np.maximum(0.0, centre - half))
+    hi = np.where(k == trials, 1.0, np.minimum(1.0, centre + half))
+    if k.ndim == 0:
+        return float(lo), float(hi)
     return lo, hi
 
 

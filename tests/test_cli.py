@@ -215,6 +215,27 @@ class TestSimulateCommand:
         code, _ = run_cli(["simulate", "lln", "--config", str(cfg), "--replicas", "8"])
         assert code == 2
 
+    def test_config_quantile_is_read(self, tmp_path):
+        base = {"alpha": 0.8, "dim": 1, "t_grid": "10:100:5", "replicas": 64, "seed": 2}
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({**base, "quantile": 0.9}))
+        code, from_config = run_cli(["simulate", "scaling", "--config", str(cfg)])
+        assert code == 0
+        cfg_flag = tmp_path / "base.json"
+        cfg_flag.write_text(json.dumps(base))
+        code, from_flag = run_cli(
+            ["simulate", "scaling", "--config", str(cfg_flag), "--quantile", "0.9"]
+        )
+        assert code == 0
+        assert from_config == from_flag
+
+    def test_config_key_not_read_rejected(self, tmp_path):
+        cfg = tmp_path / "chem.json"
+        cfg.write_text(json.dumps({"replicas": 100}))
+        args = ["chemdist", "--config", str(cfg), "--alpha", "1", "--dim", "1", "--delta", "1"]
+        code, _ = run_cli(args + ["--t-grid", "10:1000:5"])
+        assert code == 2
+
     def test_write_once(self, tmp_path):
         out_file = tmp_path / "once.csv"
         args = [
@@ -273,6 +294,16 @@ class TestChemdistCommand:
         assert provenance("1") != provenance("2")
 
 
+    def test_config_seeds_is_read(self, tmp_path):
+        cfg = tmp_path / "chem.json"
+        cfg.write_text(json.dumps({"seeds": 3, "seed": 5}))
+        args = ["chemdist", "--config", str(cfg), "--alpha", "1", "--dim", "1", "--delta", "1"]
+        code, out = run_cli(args + ["--t-grid", "10:1000:5"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        assert {row[1] for row in rows} == {"5", "6", "7"}
+
+
 class TestVerifyCommand:
     def test_fast_suites_pass(self):
         code, out = run_cli(["verify", "--suite", "continuity,determinism"])
@@ -280,6 +311,18 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert any(l.startswith("PASS regime continuity") for l in lines)
         assert any(l.startswith("PASS determinism") for l in lines)
+
+    def test_config_suite_is_read(self, tmp_path):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"suite": "lln"}))
+        code, out = run_cli(["verify", "--config", str(cfg)])
+        assert code == 0
+        (line,) = out.splitlines()
+        assert line.startswith("PASS law of large numbers")
+
+    def test_flag_not_read_rejected(self):
+        code, _ = run_cli(["verify", "--suite", "determinism", "--seed", "5"])
+        assert code == 2
 
     def test_unknown_suite(self):
         code, _ = run_cli(["verify", "--suite", "nonexistent"])

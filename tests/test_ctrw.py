@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from scenerywalk import _kernels, ctrw, functional
+from scenerywalk import _kernels, functional
 from scenerywalk.ctrw import (
     HKConstants,
     InsufficientHorizonError,
-    RateModel,
     WalkPath,
     hk_envelope,
     simulate_srw,
@@ -44,8 +43,8 @@ class TestSimulateSrw:
         # jumps by time t form a Poisson(rate * t) count
         counts = []
         for chunk in range(3):
-            pos, dur = _kernels.srw_paths_batch(1, 1.0, 100.0, 3000, philox(3, chunk))
-            counts.append((dur > 0).sum(axis=1) - 1)
+            _, live = _kernels.srw_paths_batch(1, 1.0, 100.0, 3000, philox(3, chunk))
+            counts.append(live.sum(axis=1) - 1)
         counts = np.concatenate(counts)
         stderr = counts.std(ddof=1) / np.sqrt(counts.size)
         assert abs(counts.mean() - 100.0) <= 3 * stderr
@@ -253,33 +252,3 @@ class TestWalkPath:
         buf = io.StringIO()
         p.write_csv(buf)
         assert buf.getvalue().splitlines()[0] == "time,x1,x2"
-
-
-class TestRateModel:
-    def test_srw_validation(self):
-        assert RateModel(kind="srw", total_rate=2.0).total_rate == 2.0
-        with pytest.raises(ValueError):
-            RateModel(kind="srw", total_rate=0.0)
-
-    def test_vsrw_needs_field(self):
-        f = ConstantField(1.0, 1)
-        assert RateModel(kind="layered_vsrw", field=f).field is f
-        with pytest.raises(ValueError):
-            RateModel(kind="layered_vsrw")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RateModel(kind="quantum")
-
-
-class TestDispatch:
-    def test_simulate_dispatches_srw(self):
-        p = ctrw.simulate(RateModel(kind="srw", total_rate=2.0), 1, 5.0, philox(30, 0))
-        p.validate()
-        assert p.dim == 1
-
-    def test_simulate_dispatches_vsrw(self):
-        f = ConstantField(1.0, 2)
-        p = ctrw.simulate(RateModel(kind="layered_vsrw", field=f), 2, 5.0, philox(30, 1))
-        p.validate()
-        assert p.dim == 3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scenerywalk import _kernels, exponents, montecarlo
+from scenerywalk import _kernels, exponents, montecarlo, verify
 from scenerywalk.calibration import CALIBRATION
 from scenerywalk.montecarlo import (
     ChenParams,
@@ -288,6 +288,18 @@ class TestKernels:
             direct = f.values(pos[i].astype(np.int64))
             assert np.array_equal(strip[i], direct)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            TableField({(-2,): 7.0, (0,): 3.0, (1,): 0.5}, 1, default=1.5),
+            ConstantField(2.5, 1),
+            SceneryField(alpha=1.0, dim=1, seed=4),
+        ],
+    )
+    def test_field_strip_matches_values(self, field):
+        pos, _ = _kernels.srw_paths_batch(1, 1.0, 30.0, 64, philox(24, 0))
+        assert np.array_equal(_kernels.field_values_at(field, pos), field.values(pos))
+
     def test_vsrw_batch_matches_event_driven_moments(self):
         f = ConstantField(1.0, 1)
         ends = _kernels.vsrw_endpoints_batch(f, 30.0, 23, 20_000, tag=90)
@@ -326,6 +338,33 @@ class TestStreamKeys:
         level_mean_occupation(1.0, 1, 1.0, 0.0, 50, [10.0], range(1000), 1, master_seed=0)
         assert len(tags) == 101 * 1000
         assert len({key_word(*tag, 0) for tag in tags}) == len(tags)
+
+    def test_verify_suite_keys_distinct(self, monkeypatch):
+        # every (master seed, key) the verify suites open; a zero-jump skeleton
+        # replaces the draws, since which keys a suite opens depends on its
+        # grids and replica counts only.  determinism reruns a seed on purpose.
+        opened = {}
+        real_philox = _kernels.philox
+
+        def recording_philox(seed, *key):
+            opened[suite].append((seed, key))
+            return real_philox(seed, *key)
+
+        def still(dim, rate, t, count, rng):
+            return np.zeros((count, 1, dim), dtype=np.int32), np.ones((count, 1), dtype=bool)
+
+        monkeypatch.setattr(_kernels, "philox", recording_philox)
+        monkeypatch.setattr(_kernels, "srw_paths_batch", still)
+        montecarlo._local_time_tail.cache_clear()
+        try:
+            for suite, check in verify.SUITES.items():
+                opened[suite] = []
+                check()
+        finally:
+            montecarlo._local_time_tail.cache_clear()
+        opened["determinism"] = set(opened["determinism"])
+        keys = [key for suite_keys in opened.values() for key in suite_keys]
+        assert len(keys) == len(set(keys))
 
     def test_local_time_cache_is_bounded(self):
         assert montecarlo._local_time_tail.cache_info().maxsize == 8

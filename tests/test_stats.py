@@ -29,6 +29,15 @@ class TestWilson:
             hits += lo <= p <= hi
         assert hits / batches >= 0.93
 
+    def test_array_matches_scalar_calls(self):
+        # elementwise on an array, bit for bit the scalar interval, at every k
+        n = 200_000
+        lo, hi = stats.wilson_ci(np.arange(n + 1), n)
+        scalar = np.array([stats.wilson_ci(k, n) for k in range(n + 1)])
+        assert np.array_equal(lo, scalar[:, 0]) and np.array_equal(hi, scalar[:, 1])
+        assert lo[0] == 0.0 and hi[n] == 1.0
+        assert all(type(v) is float for v in stats.wilson_ci(7, n))
+
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             stats.wilson_ci(0, 0)
