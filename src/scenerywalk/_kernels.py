@@ -14,9 +14,13 @@ Generation*, ch. V):
   G_x ~ Gamma(k_x), k_x the number of visits to x.
 
 The reducers draw exactly these variables after the skeleton, so per jump
-only one int8 step and a count remain.  The event-driven simulators in
-``ctrw`` and the explicit-sojourn kernel kept in the tests sample the same
-laws and serve as oracles.
+only a step, an int32 position and a visit count remain.  In d = 1 a step
+is one random bit, the positions come eight at a time from the drawn bytes
+through one 256-entry table of within-byte prefix positions
+(:data:`_BYTE_PREFIX`), and the visits of all rows are counted by one
+``bincount``.  The event-driven simulators in ``ctrw`` and the
+explicit-sojourn kernel kept in the tests sample the same laws and serve as
+oracles.
 
 Randomness comes from Philox streams keyed by (master seed, *tag, chunk
 index) with a fixed chunk size, where ``tag`` is an int or a tuple of ints.
@@ -37,6 +41,19 @@ from .streams import chunk_ranges, philox
 
 #: cap on rows*jumps elements held per sub-batch (keeps peak memory bounded)
 _ELEMENT_BUDGET = 2_500_000
+
+#: for each byte value, the walk's position after each of its eight steps
+#: (bits most significant first, bit 1 meaning +1), as eight int8 packed in
+#: one int64 word; the last of them is the byte's step sum
+_BYTE_PREFIX = (
+    np.cumsum(
+        np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8) * 2 - 1,
+        axis=1,
+        dtype=np.int8,
+    )
+    .view(np.int64)
+    .ravel()
+)
 
 
 def _jump_capacity(rate: float, t: float) -> int:
@@ -61,23 +78,33 @@ def srw_paths_batch(
     is the row's jump count (``live.sum(1) - 1 == N``).  ``m`` is the largest
     N + 1 of the batch; cells past a row's mask carry no time.  Only N and
     the steps are drawn: the reducers draw the time spent at each site.
+
+    In d = 1 the steps are the bits of ``(m + 6) // 8`` drawn bytes per row,
+    most significant first, bit 1 meaning +1.  Byte i of a row covers
+    positions 1 + 8i ... 8 + 8i: each is the byte's base (the summed steps
+    of bytes 0 ... i-1, one cumsum over the bytes) plus a prefix position
+    read from :data:`_BYTE_PREFIX`.  ``pos`` is then a view of the first m
+    columns of that array, not contiguous.
     """
     jumps = rng.poisson(rate * t, size=count)
     m = int(jumps.max(initial=0)) + 1
     live = np.arange(m) <= jumps[:, None]
-    pos = np.zeros((count, m, dim), dtype=np.int32)
     if dim == 1:
-        # one random bit per step, eight steps per drawn byte
-        raw = rng.integers(0, 256, size=(count, (m + 6) // 8), dtype=np.uint8)
-        steps = np.unpackbits(raw, axis=1, count=m - 1).view(np.int8)
-        steps *= 2
-        steps -= 1
-        np.cumsum(steps, axis=1, dtype=np.int32, out=pos[:, 1:, 0])
+        nbytes = (m + 6) // 8
+        raw = rng.integers(0, 256, size=(count, nbytes), dtype=np.uint8)
+        prefix = _BYTE_PREFIX[raw].view(np.int8).reshape(count, nbytes, 8)
+        base = np.zeros((count, nbytes, 1), dtype=np.int32)
+        np.cumsum(prefix[:, :-1, 7], axis=1, dtype=np.int32, out=base[:, 1:, 0])
+        walk = np.empty((count, 1 + 8 * nbytes), dtype=np.int32)
+        walk[:, 0] = 0
+        np.add(base, prefix, out=walk[:, 1:].reshape(count, nbytes, 8))
+        pos = walk[:, :m, None]
     else:
         coords = rng.integers(0, dim, size=(count, m - 1))
         signs = rng.integers(0, 2, size=(count, m - 1), dtype=np.int8).astype(np.int32) * 2 - 1
         steps = np.zeros((count, m - 1, dim), dtype=np.int32)
         np.put_along_axis(steps, coords[:, :, None], signs[:, :, None], axis=2)
+        pos = np.zeros((count, m, dim), dtype=np.int32)
         np.cumsum(steps, axis=1, out=pos[:, 1:, :])
     return pos, live
 
@@ -118,18 +145,22 @@ def local_times(pos: np.ndarray, live: np.ndarray, t: float, rng: np.random.Gene
 
     Returns ``(sites, times)`` with ``sites (rows, k, dim)`` and ``times
     (rows, k)``, each row of ``times`` summing to t.  For d = 1 the live
-    visits are counted on the strip of sites the batch spans, and a site
-    visited k_x > 0 times gets t G_x / sum G with G_x ~ Gamma(k_x).  For
-    d >= 2 each live sojourn gets t E_j / sum E with E_j ~ Exp(1), the same
-    Dirichlet(1, ..., 1) law sojourn by sojourn.
+    visits are counted on the strip of sites the batch spans (all its
+    cells, live or not), and a site visited k_x > 0 times gets t G_x / sum G
+    with G_x ~ Gamma(k_x).  For d >= 2 each live sojourn gets t E_j / sum E
+    with E_j ~ Exp(1), the same Dirichlet(1, ..., 1) law sojourn by sojourn.
     """
     rows, m, dim = pos.shape
     if dim == 1:
         lo = int(pos.min())
         width = int(pos.max()) - lo + 1
-        cells = pos[..., 0] - lo
-        cells += (width * np.arange(rows, dtype=np.int32))[:, None]
-        visits = np.bincount(cells[live], minlength=rows * width).reshape(rows, width)
+        # histogram cell row * width + x - lo, and one trash cell past the
+        # last row for the sojourns after the horizon
+        trash = rows * width
+        cells = np.add(pos[..., 0], (width * np.arange(rows) - lo)[:, None], dtype=np.intp)
+        np.copyto(cells, trash, where=~live)
+        visits = np.bincount(cells.ravel(), minlength=trash + 1)[:trash].reshape(rows, width)
+        del cells  # 8 bytes per sojourn, not needed by the draws below
         times = np.zeros((rows, width))
         visited = visits > 0
         times[visited] = rng.standard_gamma(visits[visited])

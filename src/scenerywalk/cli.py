@@ -101,11 +101,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(key: str, value, parser: argparse.ArgumentParser):
+    """A config file value converted and checked as its flag would be on the command line."""
+    spec = _FLAGS[key]
+    if "type" in spec:
+        try:
+            value = spec["type"](str(value))
+        except ValueError:
+            parser.error(f"config field {key}: invalid {spec['type'].__name__} value {value!r}")
+    if "choices" in spec and value not in spec["choices"]:
+        parser.error(f"config field {key}: {value!r} is not one of {', '.join(spec['choices'])}")
+    return value
+
+
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill flags left unset from the --config file, then from the defaults.
 
     A config may set only the flags its subcommand takes, plus a ``field``
-    record where the subcommand takes --alpha, --dim and --seed.
+    record where the subcommand takes --alpha, --dim and --seed.  A file
+    value goes through its flag's ``type`` and ``choices``; flags without a
+    type (the grids) also take numbers and lists.
     """
     flags = set(vars(args)) - {"command", "task", "config"}
     cfg = {}
@@ -131,8 +146,12 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
         cfg.setdefault("dim", fld.dim)
         cfg.setdefault("seed", fld.seed)
     for key in flags:
-        if getattr(args, key) is None:
-            setattr(args, key, cfg.get(key, _FLAGS[key].get("default")))
+        if getattr(args, key) is not None:
+            continue
+        if cfg.get(key) is not None:
+            setattr(args, key, _config_value(key, cfg[key], parser))
+        else:
+            setattr(args, key, _FLAGS[key].get("default"))
 
 
 def _master_seed(args) -> int:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from scenerywalk.cli import main
 
 
@@ -235,6 +237,47 @@ class TestSimulateCommand:
         args = ["chemdist", "--config", str(cfg), "--alpha", "1", "--dim", "1", "--delta", "1"]
         code, _ = run_cli(args + ["--t-grid", "10:1000:5"])
         assert code == 2
+
+    def test_config_string_number_converted(self, tmp_path):
+        base = {"alpha": 2.0, "dim": "1", "t_grid": "100", "seed": "3"}
+        cfg = tmp_path / "str.json"
+        cfg.write_text(json.dumps({**base, "replicas": "64"}))
+        code, from_config = run_cli(["simulate", "lln", "--config", str(cfg)])
+        assert code == 0
+        cfg_flag = tmp_path / "base.json"
+        cfg_flag.write_text(json.dumps(base))
+        code, from_flag = run_cli(
+            ["simulate", "lln", "--config", str(cfg_flag), "--replicas", "64"]
+        )
+        assert code == 0
+        assert from_config == from_flag
+
+    @pytest.mark.parametrize(
+        "key,value", [("replicas", "many"), ("replicas", 6.5), ("format", "xml")]
+    )
+    def test_config_bad_typed_value_rejected(self, tmp_path, capsys, key, value):
+        base = {"alpha": 2.0, "dim": 1, "t_grid": "100", "replicas": 64, "seed": 3}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**base, key: value}))
+        out_file = tmp_path / "out"
+        code, _ = run_cli(["simulate", "lln", "--config", str(cfg), "--out", str(out_file)])
+        assert code == 2
+        assert f"config field {key}" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_config_list_t_grid(self, tmp_path):
+        base = {"alpha": 0.5, "dim": 1, "rho": 1.2, "replicas": 200, "seed": 9}
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({**base, "t_grid": [100, 1000]}))
+        code, from_list = run_cli(["simulate", "tail-scan", "--config", str(cfg)])
+        assert code == 0
+        cfg_flag = tmp_path / "base.json"
+        cfg_flag.write_text(json.dumps(base))
+        code, from_flag = run_cli(
+            ["simulate", "tail-scan", "--config", str(cfg_flag), "--t-grid", "100,1000"]
+        )
+        assert code == 0
+        assert from_list == from_flag
 
     def test_write_once(self, tmp_path):
         out_file = tmp_path / "once.csv"

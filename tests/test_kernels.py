@@ -6,6 +6,12 @@ the horizon, so every sojourn duration is explicit.  The package kernels
 draw only the jump skeleton and the time spent per site; both must give the
 same laws, which the two-sample KS tests check at fixed seeds.
 
+``reference_paths_d1`` and ``reference_local_times_d1`` build the d = 1
+skeleton step by step (unpacked bits, +-1 steps, cumsum) and count visits by
+compressing the live sojourns before ``bincount``; the package kernels read
+positions from a byte table and send dead sojourns to a trash bin, and must
+return the same arrays from the same draws.
+
 ``reference_vsrw_endpoints`` is the per-step VSRW loop that evaluates the
 field on every active row at every iteration; the package kernel makes the
 same draws in the same order and must return the same endpoints exactly.
@@ -57,6 +63,49 @@ def oracle_additive_functional(alpha, dim, t, count, seed, batch=100):
         z = _kernels.pareto_values_at(field_seeds, pos, alpha)
         out.append((z * dur).sum(axis=1))
     return np.concatenate(out)
+
+
+def reference_paths_d1(rate, t, count, rng):
+    """d = 1 skeletons ``(pos, live)`` from the same draws as ``srw_paths_batch``."""
+    jumps = rng.poisson(rate * t, size=count)
+    m = int(jumps.max(initial=0)) + 1
+    live = np.arange(m) <= jumps[:, None]
+    pos = np.zeros((count, m, 1), dtype=np.int32)
+    raw = rng.integers(0, 256, size=(count, (m + 6) // 8), dtype=np.uint8)
+    steps = np.unpackbits(raw, axis=1, count=m - 1).view(np.int8)
+    steps *= 2
+    steps -= 1
+    np.cumsum(steps, axis=1, dtype=np.int32, out=pos[:, 1:, 0])
+    return pos, live
+
+
+def reference_local_times_d1(pos, live, t, rng):
+    """d = 1 ``(sites, times)`` from the same draws as ``local_times``."""
+    rows = pos.shape[0]
+    lo = int(pos.min())
+    width = int(pos.max()) - lo + 1
+    cells = pos[..., 0] - lo
+    cells += (width * np.arange(rows, dtype=np.int32))[:, None]
+    visits = np.bincount(cells[live], minlength=rows * width).reshape(rows, width)
+    times = np.zeros((rows, width))
+    visited = visits > 0
+    times[visited] = rng.standard_gamma(visits[visited])
+    times *= t / times.sum(axis=1, keepdims=True)
+    strip = np.arange(lo, lo + width, dtype=np.int32)
+    return np.broadcast_to(strip[None, :, None], (rows, width, 1)), times
+
+
+class PresetJumps:
+    """A generator whose Poisson draw returns preset jump counts; other draws pass through."""
+
+    def __init__(self, rng, jumps):
+        self.rng, self.jumps = rng, np.asarray(jumps)
+
+    def poisson(self, lam, size=None):
+        return self.jumps.copy()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def reference_vsrw_endpoints(field, t, master_seed, count, tag):
@@ -136,6 +185,54 @@ class TestExactValues:
         occ = montecarlo.local_time_samples(1, t, 100_000, seed=36)
         se = occ.std(ddof=1) / np.sqrt(occ.size)
         assert abs(occ.mean() - exact) <= 4 * se
+
+
+class TestSkeletonD1:
+    @pytest.mark.parametrize("longest", [0, 1, 7, 8, 9, 63, 64, 65])
+    def test_matches_step_by_step_reference(self, longest):
+        # rows of several lengths, so dead cells follow the shorter ones
+        jumps = [longest, 0, longest // 2, max(longest - 1, 0), longest]
+        fast_rng, slow_rng = philox(51, longest), philox(51, longest)
+        pos, live = _kernels.srw_paths_batch(1, 1.0, 1.0, 5, PresetJumps(fast_rng, jumps))
+        ref_pos, ref_live = reference_paths_d1(1.0, 1.0, 5, PresetJumps(slow_rng, jumps))
+        assert pos.dtype == np.int32 and pos.shape == (5, longest + 1, 1)
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(live, ref_live)
+        assert fast_rng.random() == slow_rng.random()
+
+    def test_long_paths_match_reference(self):
+        fast_rng, slow_rng = philox(52, 0), philox(52, 0)
+        pos, live = _kernels.srw_paths_batch(1, 1.0, 2e4, 24, fast_rng)
+        ref_pos, ref_live = reference_paths_d1(1.0, 2e4, 24, slow_rng)
+        assert pos.shape == ref_pos.shape
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(live, ref_live)
+        assert fast_rng.random() == slow_rng.random()
+
+
+class TestLocalTimesD1:
+    def check(self, pos, live, seed):
+        fast_rng, slow_rng = philox(seed, 1), philox(seed, 1)
+        sites, times = _kernels.local_times(pos, live, 7.5, fast_rng)
+        ref_sites, ref_times = reference_local_times_d1(pos, live, 7.5, slow_rng)
+        assert sites.shape == ref_sites.shape and np.array_equal(sites, ref_sites)
+        assert times.shape == ref_times.shape and np.array_equal(times, ref_times)
+        assert fast_rng.random() == slow_rng.random()
+
+    @pytest.mark.parametrize("t,count", [(1.0, 500), (0.0, 40), (400.0, 300), (1e4, 40)])
+    def test_skeleton_batches_match_reference(self, t, count):
+        # at t = 1 about a third of the rows make no jump; at t = 0 all do
+        pos, live = _kernels.srw_paths_batch(1, 1.0, t, count, philox(53, int(t)))
+        assert t > 1 or np.any(live.sum(axis=1) == 1)
+        self.check(pos, live, seed=54)
+
+    def test_last_row_at_trash_boundary(self):
+        # the last row's last live sojourn is the batch's largest site, the
+        # cell just before the trash bin; the dead cells -3, -4 of row 1 lie
+        # outside every live range, so the strip is wider than the live sites
+        pos = np.array([[0, 1, 2, 3, 4], [0, -1, -2, -3, -4], [0, 1, 2, 3, 4]], np.int32)
+        live = np.array([[1, 1, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], bool)
+        self.check(pos[..., None], live, seed=55)
 
 
 class TestVsrwKernel:
