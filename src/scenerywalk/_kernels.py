@@ -18,7 +18,7 @@ only a step, an int32 position and a visit count remain.  In d = 1 a step
 is one random bit, the positions come eight at a time from the drawn bytes
 through one 256-entry table of within-byte prefix positions
 (:data:`_BYTE_PREFIX`), and the visits of all rows are counted by one
-``bincount``.  The event-driven simulators in ``ctrw`` and the
+``bincount``.  The event-driven simulators in ``tests/oracles.py`` and the
 explicit-sojourn kernel kept in the tests sample the same laws and serve as
 oracles.
 

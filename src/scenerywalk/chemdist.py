@@ -122,44 +122,34 @@ def _neighbours(site: tuple, box: tuple):
                 yield site[:i] + (c,) + site[i + 1 :]
 
 
-def dijkstra_distance(box: tuple, weight: Callable[[tuple, tuple], float], x: tuple, y: tuple) -> float:
-    """Shortest weighted path between x and y restricted to the box."""
-    x, y = tuple(x), tuple(y)
-    if x == y:
-        return 0.0
+def _dijkstra_settle(box: tuple, weight: Callable[[tuple, tuple], float], x: tuple):
+    """Yield (site, distance from x) for the box sites in settle order."""
     dist = {x: 0.0}
     heap = [(0.0, x)]
     while heap:
         d, site = heapq.heappop(heap)
-        if site == y:
-            return d
-        if d > dist.get(site, np.inf):
+        if d > dist[site]:
             continue
+        yield site, d
         for nb in _neighbours(site, box):
             nd = d + weight(site, nb)
             if nd < dist.get(nb, np.inf):
                 dist[nb] = nd
                 heapq.heappush(heap, (nd, nb))
+
+
+def dijkstra_distance(box: tuple, weight: Callable[[tuple, tuple], float], x: tuple, y: tuple) -> float:
+    """Shortest weighted path between x and y restricted to the box."""
+    y = tuple(y)
+    for site, d in _dijkstra_settle(box, weight, tuple(x)):
+        if site == y:
+            return d
     return float("inf")
 
 
 def dijkstra_all(box: tuple, weight: Callable[[tuple, tuple], float], x: tuple) -> dict:
     """Single-source distances from x to every box site (for metric checks)."""
-    x = tuple(x)
-    dist = {x: 0.0}
-    done = set()
-    heap = [(0.0, x)]
-    while heap:
-        d, site = heapq.heappop(heap)
-        if site in done:
-            continue
-        done.add(site)
-        for nb in _neighbours(site, box):
-            nd = d + weight(site, nb)
-            if nd < dist.get(nb, np.inf):
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    return dist
+    return dict(_dijkstra_settle(box, weight, tuple(x)))
 
 
 def chemical_distance(spec: LayeredGraphSpec, x, y) -> ChemDistance:
@@ -179,10 +169,13 @@ def chemical_distance(spec: LayeredGraphSpec, x, y) -> ChemDistance:
     return ChemDistance(value=value, box_sufficient=_box_contains_box(spec.box, sufficient_box(x, y)))
 
 
-def brute_force_distance(spec: LayeredGraphSpec, x, y, max_sites: int = 12) -> float:
+_BRUTE_FORCE_MAX_SITES = 12
+
+
+def brute_force_distance(spec: LayeredGraphSpec, x, y) -> float:
     """Minimum over all simple paths by exhaustive search (oracle, tiny boxes)."""
-    if spec.n_sites() > max_sites:
-        raise ValueError(f"brute force is limited to boxes with <= {max_sites} sites")
+    if spec.n_sites() > _BRUTE_FORCE_MAX_SITES:
+        raise ValueError(f"brute force is limited to boxes with <= {_BRUTE_FORCE_MAX_SITES} sites")
     x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
     best = [np.inf]
 

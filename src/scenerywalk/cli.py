@@ -64,7 +64,7 @@ def _parse_grid(text, geometric: bool) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"range syntax is lo:hi:n, got {text!r}")
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1 or lo <= 0 and geometric:
+        if n < 1 or min(lo, hi) <= 0 and geometric:
             raise ValueError(f"bad range {text!r}")
         if n == 1:
             return [lo]

@@ -248,7 +248,6 @@ def tail_prob_scan(
     rho: Optional[float] = None,
     delta: Optional[float] = None,
     gamma: Optional[float] = None,
-    floor_exponent: Optional[float] = None,
     jobs: Optional[int] = None,
 ) -> TailScan:
     """Direct MC frequencies of the polynomial-regime events.
@@ -258,15 +257,14 @@ def tail_prob_scan(
     P(X_t = t^delta e_1 + t^gamma e) for one fixed environment derived from
     the master seed.  Parameters in a stretched-exponential regime are
     refused; frequencies are checked against the calibrated polynomial floor
-    t^(-floor_exponent).
+    t^(-floor_exponent) of ``CALIBRATION``.
     """
     from .calibration import CALIBRATION
 
     t_grid = [float(t) for t in t_grid]
     if not t_grid or replicas < 1:
         raise ValueError("need a non-empty t grid and replicas >= 1")
-    if floor_exponent is None:
-        floor_exponent = CALIBRATION["polynomial_floor_exponent"]["value"]
+    floor_exponent = CALIBRATION["polynomial_floor_exponent"]["value"]
     estimates = []
     if model == "rwrs":
         if rho is None:
@@ -330,6 +328,49 @@ def tail_prob_scan(
 
 
 # ---------------------------------------------------------------------------
+# transition law of the continuous-time simple random walk
+# ---------------------------------------------------------------------------
+
+
+def log_transition_prob(dim: int, rate: float, t: float, sites: np.ndarray) -> np.ndarray:
+    """log p_t(0, x) of the total-rate-``rate`` walk for an array of sites (Bessel series).
+
+    Coordinates of a total-rate-R walk are independent rate-R/d walks on Z,
+    and a rate-r walk at time t sits at k with probability e^(-rt) I_k(rt).
+    Sites beyond the reachable range underflow to -inf, which simply removes
+    them from the bound maximisation of :func:`strategy_lower_bound`.
+    """
+    u = rate * t / dim
+    out = np.zeros(sites.shape[0])
+    with np.errstate(divide="ignore"):
+        for i in range(dim):
+            out += np.log(ive(np.abs(sites[:, i]).astype(np.float64), u))
+    return out
+
+
+def transition_prob_mc(
+    dim: int, total_rate: float, t: float, x, replicas: int, rng: np.random.Generator
+) -> TailEstimate:
+    """Unbiased frequency estimate of p_t(0, x) with a Wilson interval.
+
+    Simulates the jump skeleton (Poisson jump count, uniform neighbour
+    choices) and counts endpoint hits, so it is an independent check of
+    :func:`log_transition_prob`.
+    """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if t <= 0:
+        raise ValueError("t must be positive")
+    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
+    if x.size != dim:
+        raise ValueError(f"x must have {dim} coordinates")
+    hits = 0
+    for _, pos, live in _kernels.skeletons(dim, total_rate, t, replicas, rng):
+        hits += int(np.sum(np.all(_kernels.endpoints(pos, live) == x, axis=-1)))
+    return tail_estimate(hits, replicas, log_t=float(np.log(t)))
+
+
+# ---------------------------------------------------------------------------
 # quenched lower-bound strategy
 # ---------------------------------------------------------------------------
 
@@ -356,49 +397,36 @@ class StrategyBound:
 
 
 _LT_TAIL_SEED = 0x10CA17
+_LT_TAIL_REPLICAS = 200_000
 
 
 @functools.lru_cache(maxsize=8)
-def _local_time_tail(dim: int, rate: float, window: float, replicas: int = 200_000) -> np.ndarray:
+def _local_time_tail(dim: int, window: float) -> np.ndarray:
     """Sorted MC sample of the origin local time over one window.
 
-    Cached, at most 8 entries of ``replicas`` float64 each; callers must not
-    modify the returned array.
+    Cached, at most 8 entries of ``_LT_TAIL_REPLICAS`` float64 each; callers
+    must not modify the returned array.
     """
     occ = _kernels.occupation_batch(
-        dim, rate, window, _LT_TAIL_SEED, replicas, _KEY_LOCAL_TIME_TAIL, _origin_indicator
+        dim, RWRS_RATE, window, _LT_TAIL_SEED, _LT_TAIL_REPLICAS, _KEY_LOCAL_TIME_TAIL, _origin_indicator
     )
     return np.sort(occ)
 
 
-def _log_stay_prob(dim: int, rate: float, window: float, amounts: np.ndarray) -> np.ndarray:
+def _log_stay_prob(dim: int, window: float, amounts: np.ndarray) -> np.ndarray:
     """Certified log lower bound for P(l_window(0) >= amount).
 
     Combines the exact continuous-stay bound exp(-rate * amount) with the
     Wilson 95% lower confidence bound of a cached MC sample of the local
     time; the larger of the two is used per amount.
     """
-    samples = _local_time_tail(dim, rate, window)
+    samples = _local_time_tail(dim, window)
     n = samples.size
     counts = n - np.searchsorted(samples, amounts, side="left")
     with np.errstate(divide="ignore"):
         log_mc = np.log(wilson_ci(counts, n)[0])
-    log_exact = -rate * np.asarray(amounts)
+    log_exact = -RWRS_RATE * np.asarray(amounts)
     return np.maximum(log_mc, log_exact)
-
-
-def _log_p_vec(dim: int, rate: float, s: float, sites: np.ndarray) -> np.ndarray:
-    """log p_s(0, x) for an array of sites via the Bessel series.
-
-    Sites beyond the reachable range underflow to -inf, which simply removes
-    them from the bound maximisation.
-    """
-    u = rate * s / dim
-    out = np.zeros(sites.shape[0])
-    with np.errstate(divide="ignore"):
-        for i in range(dim):
-            out += np.log(ive(np.abs(sites[:, i]).astype(np.float64), u))
-    return out
 
 
 def strategy_lower_bound(
@@ -407,7 +435,6 @@ def strategy_lower_bound(
     rho: float,
     t: float,
     field_seed: int,
-    rate: float = RWRS_RATE,
     field=None,
 ) -> StrategyBound:
     """Computable lower bound for the bridge probability P(A_t >= t^rho, S_t = 0).
@@ -415,7 +442,7 @@ def strategy_lower_bound(
     Follows the peak strategy: travel to a high site x within t/4, leave
     local time t^rho/z(x) there inside the next t/4 window (second regime:
     hold x through the whole window), and return to the origin by t.  Travel
-    and return legs use the exact Bessel transition probabilities; the stay
+    and return legs use :func:`log_transition_prob`; the stay
     factor is the certified bound of :func:`_log_stay_prob`.  The bound is
     maximised over the candidate sites of the t^mu search box, which at
     finite t can beat the plain box argmax.
@@ -435,18 +462,19 @@ def strategy_lower_bound(
     sites = box_sites(radius, dim)
     z = field.values(sites)
 
-    log_travel = _log_p_vec(dim, rate, t / 4, sites)
+    log_travel = log_transition_prob(dim, RWRS_RATE, t / 4, sites)
     if regime == "first":
         lstar = t**rho / z
         feasible = lstar <= t / 4
-        stay = _log_stay_prob(dim, rate, t / 4, lstar)
+        stay = _log_stay_prob(dim, t / 4, lstar)
         log_ret = np.minimum(
-            _log_p_vec(dim, rate, t / 2, sites), _log_p_vec(dim, rate, 3 * t / 4, sites)
+            log_transition_prob(dim, RWRS_RATE, t / 2, sites),
+            log_transition_prob(dim, RWRS_RATE, 3 * t / 4, sites),
         )
     else:
         feasible = z * (t / 4) >= t**rho
-        stay = np.full(sites.shape[0], -rate * t / 4)
-        log_ret = _log_p_vec(dim, rate, t / 2, sites)
+        stay = np.full(sites.shape[0], -RWRS_RATE * t / 4)
+        log_ret = log_transition_prob(dim, RWRS_RATE, t / 2, sites)
     total = np.where(feasible, log_travel + stay + log_ret, -np.inf)
     best = int(np.argmax(total))
     if not np.isfinite(total[best]):
@@ -528,17 +556,20 @@ class ChenReport:
         return sum(r.violated for r in self.rows)
 
 
+_CHEN_LAMBDAS = (1.0, 2.0, 4.0, 6.0)
+
+
 def chen_verify(
     dim: int,
     t: float,
     b_value: float,
     replicas: int,
     seed: int,
-    lambdas: Sequence[float] = (1.0, 2.0, 4.0, 6.0),
     samples: Optional[np.ndarray] = None,
 ) -> ChenReport:
     """Check MC tail frequencies of l_t(0) against the Chen-type bound.
 
+    One row per lambda of ``_CHEN_LAMBDAS``, at the threshold lambda a(t/b) b.
     The hypothesis value a(t/b) is the MC estimate of E_0[l_{t/b}(0)] plus a
     3 sigma safety margin (f is the origin indicator, so the sup over the
     support is that single expectation).  ``samples`` lets callers reuse one
@@ -562,7 +593,7 @@ def chen_verify(
         samples = local_time_samples(dim, t, replicas, seed)
     occ = samples
     rows = []
-    for lam in lambdas:
+    for lam in _CHEN_LAMBDAS:
         thr = lam * a_value * b_value
         k = int(np.sum(occ >= thr))
         est = tail_estimate(k, occ.size, log_t=float(np.log(t)))
@@ -722,20 +753,22 @@ class TimeChangeComparison:
     replicas: int
 
 
+_TIMECHANGE_MASS = 0.99
+
+
 def time_change_distribution_check(
     field,
     t: float,
     replicas: int,
     seed: int,
     significance: float = 0.01,
-    mass: float = 0.99,
 ) -> TimeChangeComparison:
     """Two-sample chi-square between direct VSRW endpoints and the composed law.
 
     Endpoint samples of X_t from the event-driven VSRW and from the
     time-change representation (S1 at clock A2_t, S2_t) are binned on the
-    sites carrying ``mass`` of the combined distribution (remainder pooled
-    into one bin) and compared at the given significance.
+    sites carrying ``_TIMECHANGE_MASS`` of the combined distribution
+    (remainder pooled into one bin) and compared at the given significance.
     """
     direct = _kernels.vsrw_endpoints_batch(field, t, seed, replicas, tag=_KEY_VSRW)
     composed = _kernels.composed_endpoints_batch(field, t, seed, replicas, tag=_KEY_COMPOSED)
@@ -744,7 +777,7 @@ def time_change_distribution_check(
     inverse = inverse.reshape(-1)
     order = np.argsort(counts)[::-1]
     cum = np.cumsum(counts[order])
-    n_support = int(np.searchsorted(cum, mass * both.shape[0]) + 1)
+    n_support = int(np.searchsorted(cum, _TIMECHANGE_MASS * both.shape[0]) + 1)
     support = order[:n_support]
     bin_of = np.full(uniq.shape[0], n_support, dtype=np.int64)
     bin_of[support] = np.arange(n_support)

@@ -279,6 +279,12 @@ class TestSimulateCommand:
         assert code == 0
         assert from_list == from_flag
 
+    def test_geometric_grid_needs_positive_ends(self, capsys):
+        args = ["simulate", "tail-scan", "--alpha", "0.5", "--dim", "1", "--rho", "1.2"]
+        code, _ = run_cli(args + ["--t-grid", "100:-5:3", "--replicas", "10"])
+        assert code == 2
+        assert "bad range '100:-5:3'" in capsys.readouterr().err
+
     def test_write_once(self, tmp_path):
         out_file = tmp_path / "once.csv"
         args = [

@@ -1,22 +1,20 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
-from scenerywalk import _kernels, functional
-from scenerywalk.ctrw import (
+from oracles import (
     HKConstants,
     InsufficientHorizonError,
     WalkPath,
+    clock,
     hk_envelope,
     simulate_srw,
     simulate_vsrw,
     time_change_compose,
-    transition_prob_exact,
-    transition_prob_mc,
 )
 from scenerywalk.calibration import CALIBRATION
+from scenerywalk.montecarlo import log_transition_prob, transition_prob_mc
 from scenerywalk.scenery import ConstantField, JumpBudgetError, SceneryField
 from scenerywalk.streams import philox
 
@@ -38,21 +36,6 @@ class TestSimulateSrw:
         for k in range(50):
             p = simulate_srw((k % 3) + 1, 0.5 + k / 25.0, 20.0, philox(2, k))
             p.validate()
-
-    def test_jump_count_poisson_mean(self):
-        # jumps by time t form a Poisson(rate * t) count
-        counts = []
-        for chunk in range(3):
-            _, live = _kernels.srw_paths_batch(1, 1.0, 100.0, 3000, philox(3, chunk))
-            counts.append(live.sum(axis=1) - 1)
-        counts = np.concatenate(counts)
-        stderr = counts.std(ddof=1) / np.sqrt(counts.size)
-        assert abs(counts.mean() - 100.0) <= 3 * stderr
-        assert abs(counts.mean() - 100.0) <= 3.0
-
-    def test_variance_linear_growth(self):
-        ends = _kernels.srw_endpoints_batch(1, 1.0, 10_000.0, 4, 8000, tag=40)
-        assert abs(ends[:, 0].var() / 10_000.0 - 1.0) <= 0.05
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -109,7 +92,7 @@ class TestTimeChange:
         rng = philox(8, 0)
         transverse = simulate_srw(1, 2.0, 30.0, rng)
         vertical = simulate_srw(1, 2.0, 40.0, rng)
-        ck = functional.clock(f, transverse)
+        ck = clock(f, transverse)
         t = 22.5
         assert ck.value(t) == pytest.approx(t, rel=1e-12)
         out = time_change_compose(vertical, ck, transverse, t)
@@ -118,7 +101,7 @@ class TestTimeChange:
     def test_frozen_transverse_constant_clock(self):
         f = ConstantField(5.0, 1)
         frozen = WalkPath(dim=1, start=(0,), jump_times=[], sites=np.empty((0, 1)), horizon=3.0)
-        ck = functional.clock(f, frozen)
+        ck = clock(f, frozen)
         assert ck.value(2.0) == pytest.approx(10.0, rel=1e-15)
         vertical = simulate_srw(1, 2.0, 12.0, philox(9, 0))
         out = time_change_compose(vertical, ck, frozen, 2.0)
@@ -127,7 +110,7 @@ class TestTimeChange:
     def test_insufficient_horizon(self):
         f = ConstantField(5.0, 1)
         frozen = WalkPath(dim=1, start=(0,), jump_times=[], sites=np.empty((0, 1)), horizon=3.0)
-        ck = functional.clock(f, frozen)
+        ck = clock(f, frozen)
         vertical = simulate_srw(1, 2.0, 9.0, philox(9, 1))
         with pytest.raises(InsufficientHorizonError):
             time_change_compose(vertical, ck, frozen, 2.5)
@@ -193,16 +176,14 @@ class TestHkEnvelope:
 
 class TestTransitionProb:
     def test_exact_matches_series_oracle(self):
-        assert transition_prob_exact(1, 1.0, 1.0, [0]) == pytest.approx(
-            _bessel_series_p0(1.0), abs=1e-12
-        )
-        assert transition_prob_exact(1, 1.0, 1.0, [0]) == pytest.approx(0.4657596, abs=1e-6)
+        p0 = np.exp(log_transition_prob(1, 1.0, 1.0, np.array([[0]])))[0]
+        assert p0 == pytest.approx(_bessel_series_p0(1.0), abs=1e-12)
+        assert p0 == pytest.approx(0.4657596, abs=1e-6)
 
     def test_exact_product_across_dims(self):
         # coordinates are independent rate-R/d walks
-        p2 = transition_prob_exact(2, 1.0, 3.0, [1, -2])
-        p1a = transition_prob_exact(1, 0.5, 3.0, [1])
-        p1b = transition_prob_exact(1, 0.5, 3.0, [-2])
+        p2 = np.exp(log_transition_prob(2, 1.0, 3.0, np.array([[1, -2]])))[0]
+        p1a, p1b = np.exp(log_transition_prob(1, 0.5, 3.0, np.array([[1], [-2]])))
         assert p2 == pytest.approx(p1a * p1b, rel=1e-12)
 
     def test_mc_small_t_degenerate(self):
@@ -214,14 +195,14 @@ class TestTransitionProb:
     def test_mc_matches_exact_within_3_sigma(self):
         t, x = 1.0, 0
         est = transition_prob_mc(1, 1.0, t, [x], 100_000, philox(11, 2))
-        p = transition_prob_exact(1, 1.0, t, [x])
+        p = np.exp(log_transition_prob(1, 1.0, t, np.array([[x]])))[0]
         se = np.sqrt(p * (1 - p) / est.replicas)
         assert abs(est.probability - p) <= 3 * se
 
     def test_symmetry_plus_minus(self):
         est_p = transition_prob_mc(1, 1.0, 4.0, [2], 50_000, philox(11, 3))
         est_m = transition_prob_mc(1, 1.0, 4.0, [-2], 50_000, philox(11, 4))
-        p = transition_prob_exact(1, 1.0, 4.0, [2])
+        p = np.exp(log_transition_prob(1, 1.0, 4.0, np.array([[2]])))[0]
         se = np.sqrt(2 * p * (1 - p) / 50_000)
         assert abs(est_p.probability - est_m.probability) <= 3 * se
 
@@ -246,9 +227,3 @@ class TestWalkPath:
         bad_step = WalkPath(dim=1, start=(0,), jump_times=[1.0], sites=[[2]], horizon=4.0)
         with pytest.raises(ValueError):
             bad_step.validate()
-
-    def test_csv_dump(self):
-        p = WalkPath(dim=2, start=(0, 0), jump_times=[1.0], sites=[[0, 1]], horizon=2.0)
-        buf = io.StringIO()
-        p.write_csv(buf)
-        assert buf.getvalue().splitlines()[0] == "time,x1,x2"

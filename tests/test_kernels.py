@@ -186,6 +186,21 @@ class TestExactValues:
         se = occ.std(ddof=1) / np.sqrt(occ.size)
         assert abs(occ.mean() - exact) <= 4 * se
 
+    def test_jump_count_poisson_mean(self):
+        # jumps by time t form a Poisson(rate * t) count
+        counts = []
+        for chunk in range(3):
+            _, live = _kernels.srw_paths_batch(1, 1.0, 100.0, 3000, philox(3, chunk))
+            counts.append(live.sum(axis=1) - 1)
+        counts = np.concatenate(counts)
+        stderr = counts.std(ddof=1) / np.sqrt(counts.size)
+        assert abs(counts.mean() - 100.0) <= 3 * stderr
+        assert abs(counts.mean() - 100.0) <= 3.0
+
+    def test_variance_linear_growth(self):
+        ends = _kernels.srw_endpoints_batch(1, 1.0, 10_000.0, 4, 8000, tag=40)
+        assert abs(ends[:, 0].var() / 10_000.0 - 1.0) <= 0.05
+
 
 class TestSkeletonD1:
     @pytest.mark.parametrize("longest", [0, 1, 7, 8, 9, 63, 64, 65])

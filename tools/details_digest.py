@@ -8,8 +8,12 @@ Run from the repository root on reports written by ``scenerywalk verify
 
 Each line is ``<sha256>  <suite name>``; the hash covers the suite's
 ``details`` as sorted-key JSON, so two runs that produced bit-identical
-results print identical lines and a plain ``diff`` of the outputs checks it.
-Timings and budgets are not hashed.
+results print identical lines.  Timings and budgets are not hashed.
+
+With two or more reports the exit status is the bit-identity gate: 0 when
+every suite has the same digest in all of them, 1 when some suite's digest
+differs (or the suite is missing from a report), with the differing suites
+named on stderr.
 """
 
 from __future__ import annotations
@@ -32,11 +36,19 @@ def main(argv) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    per_report = []
     for path in argv:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
-        for digest, name in details_digests(report):
+        digests = details_digests(report)
+        for digest, name in digests:
             print(f"{digest}  {name}")
+        per_report.append({name: digest for digest, name in digests})
+    names = sorted({name for digests in per_report for name in digests})
+    differ = [n for n in names if len({digests.get(n) for digests in per_report}) > 1]
+    if differ:
+        print("details differ: " + ", ".join(differ), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from scenerywalk import montecarlo
-from scenerywalk.ctrw import transition_prob_mc
 from scenerywalk.streams import philox
 
 MASTER = 20240617
@@ -32,7 +31,8 @@ def fit_hk_constants() -> dict:
     rows = []
     for t in (10.0, 100.0):
         for x in range(0, int(2 * t) + 1, max(1, int(t) // 10)):
-            est = transition_prob_mc(1, 1.0, t, [x], 400_000, philox(MASTER, 17, int(t), x))
+            rng = philox(MASTER, 17, int(t), x)
+            est = montecarlo.transition_prob_mc(1, 1.0, t, [x], 400_000, rng)
             if est.ci_low > 0:
                 rows.append((t, x, est))
     gauss = [(t, x, e) for t, x, e in rows if x <= t]
