@@ -74,6 +74,17 @@ def _parse_grid(text, geometric: bool) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+#: values of a value-or-grid flag that count as leaving it out
+_UNSET = (None, "", [])
+
+
+def _scalar(text, default=None):
+    """First value of a value-or-grid flag; ``default`` when the flag is left out."""
+    if text in _UNSET:
+        return default
+    return float(_parse_grid(text, geometric=False)[0])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenerywalk",
@@ -157,10 +168,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
 def _master_seed(args) -> int:
     if args.seed is not None:
         return int(args.seed)
-    env = os.environ.get("SCENERYWALK_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    return int(os.environ.get("SCENERYWALK_SEED", 0))
 
 
 def _emit(args, header, rows, payload) -> None:
@@ -175,18 +183,12 @@ def _cmd_exponents(args, parser) -> int:
     if args.alpha is None or args.dim is None:
         parser.error("exponents needs --alpha and --dim")
     alphas = _parse_grid(args.alpha, geometric=False)
-    which = args.which
-    if which is None:
-        which = "p" if args.rho is not None else "q"
-    if which == "p":
-        if args.rho is None:
-            parser.error("--which p needs --rho")
-        xs = _parse_grid(args.rho, geometric=False)
-    else:
-        if args.delta is None:
-            parser.error(f"--which {which} needs --delta")
-        xs = _parse_grid(args.delta, geometric=False)
-    gamma = float(_parse_grid(args.gamma, geometric=False)[0]) if args.gamma else 0.0
+    which = args.which or ("p" if args.rho is not None else "q")
+    flag, x_text = ("rho", args.rho) if which == "p" else ("delta", args.delta)
+    if x_text is None:
+        parser.error(f"--which {which} needs --{flag}")
+    xs = _parse_grid(x_text, geometric=False)
+    gamma = _scalar(args.gamma, 0.0)
     rows = exponents.phase_diagram(alphas, xs, which.upper(), args.dim, gamma=gamma)
     prov = reporting.provenance_string(
         {
@@ -214,9 +216,9 @@ def _cmd_simulate(args, parser) -> int:
     seed = _master_seed(args)
     if args.replicas is None or args.replicas < 1:
         parser.error("simulate needs --replicas >= 1")
-    if args.alpha is None or args.dim is None:
+    if args.alpha in _UNSET or args.dim is None:
         parser.error("simulate needs --alpha and --dim")
-    alpha = float(_parse_grid(args.alpha, geometric=False)[0])
+    alpha = _scalar(args.alpha)
     dim = args.dim
     t_grid = _parse_grid(args.t_grid, geometric=True) if args.t_grid else None
     params = {
@@ -227,64 +229,54 @@ def _cmd_simulate(args, parser) -> int:
         "replicas": args.replicas,
         "t_grid": t_grid,
     }
-    first = lambda g: None if g in (None, "") else float(_parse_grid(g, geometric=False)[0])
+    rho, delta = _scalar(args.rho), _scalar(args.delta)
     model = None
     if args.task == "tail-scan":
-        model = "rcm" if args.delta is not None else "rwrs"
+        model = "rcm" if delta is not None else "rwrs"
     # every resolved input that can change the output (not jobs, out or format)
     prov = reporting.provenance_string(
         {
             **params,
-            "rho": first(args.rho),
-            "delta": first(args.delta),
-            "gamma": first(args.gamma) or 0.0,
+            "rho": rho,
+            "delta": delta,
+            "gamma": _scalar(args.gamma) or 0.0,
             "quantile": args.quantile,
             "b_value": args.b_value,
             "moment": args.moment,
             "model": model,
         }
     )
+    single_horizon = args.task in ("lln", "chen", "khasminskii")
+    if single_horizon and (not t_grid or len(t_grid) != 1):
+        parser.error(f"{args.task} needs --t-grid with exactly one value")
+    if not t_grid:
+        parser.error(f"{args.task} needs --t-grid")
 
     if args.task == "lln":
-        if not t_grid or len(t_grid) != 1:
-            parser.error("lln needs --t-grid with exactly one value")
         r = montecarlo.lln_check(alpha, dim, t_grid[0], args.replicas, seed)
         header = ("t", "mean", "stderr", "target", "seed", "replicas", "provenance")
         rows = [(r.t, r.mean, r.stderr, r.target, seed, r.replicas, prov)]
-        payload = {"command": "simulate", **params, "provenance": prov, "result": rows[0][:4]}
-        _emit(args, header, rows, payload)
-        return 0
-    if args.task == "scaling":
-        if not t_grid:
-            parser.error("scaling needs --t-grid")
+        extra = {"result": rows[0][:4]}
+    elif args.task == "scaling":
         r = montecarlo.scaling_exponent_estimate(
             alpha, dim, t_grid, args.replicas, args.quantile, seed, jobs=args.jobs
         )
         header = ("t", "quantile_A_t", "seed", "replicas", "provenance")
         rows = [(t, q, seed, args.replicas, prov) for t, q in r.quantiles]
-        payload = {
-            "command": "simulate",
-            **params,
-            "provenance": prov,
+        extra = {
             "slope": r.slope,
             "stderr": r.stderr,
             "reference": r.reference,
             "one_sided": r.one_sided,
             "quantiles": r.quantiles,
         }
-        _emit(args, header, rows, payload)
-        return 0
-    if args.task == "tail-scan":
-        if not t_grid:
-            parser.error("tail-scan needs --t-grid")
-        kwargs = {}
+    elif args.task == "tail-scan":
         if model == "rwrs":
-            if args.rho is None:
+            if rho is None:
                 parser.error("rwrs tail-scan needs --rho")
-            kwargs["rho"] = float(_parse_grid(args.rho, geometric=False)[0])
+            kwargs = {"rho": rho}
         else:
-            kwargs["delta"] = float(_parse_grid(args.delta, geometric=False)[0])
-            kwargs["gamma"] = float(_parse_grid(args.gamma, geometric=False)[0]) if args.gamma else 0.0
+            kwargs = {"delta": delta, "gamma": _scalar(args.gamma, 0.0)}
         scan = montecarlo.tail_prob_scan(
             model, alpha, dim, t_grid, args.replicas, seed, jobs=args.jobs, **kwargs
         )
@@ -301,54 +293,35 @@ def _cmd_simulate(args, parser) -> int:
             (t, e.probability, e.ci_low, e.ci_high, seed, e.replicas, prov)
             for t, e in zip(scan.t_grid, scan.estimates)
         ]
-        payload = {
-            "command": "simulate",
-            **params,
+        extra = {
             **kwargs,
             "model": model,
-            "provenance": prov,
             "floor_ok": scan.floor_ok,
             "slope": None if scan.slope is None else scan.slope.slope,
             "rows": rows,
         }
-        _emit(args, header, rows, payload)
-        return 0
-    if args.task == "chen":
-        if not t_grid or len(t_grid) != 1:
-            parser.error("chen needs --t-grid with exactly one value")
+    elif args.task == "chen":
         rep = montecarlo.chen_verify(dim, t_grid[0], args.b_value, args.replicas, seed)
         header = ("lambda", "threshold", "probability", "bound", "seed", "replicas", "provenance")
         rows = [
             (r.lam, r.threshold, r.estimate.probability, r.bound, seed, args.replicas, prov)
             for r in rep.rows
         ]
-        payload = {
-            "command": "simulate",
-            **params,
-            "provenance": prov,
-            "a_value": rep.a_value,
-            "violations": rep.n_violations,
-            "rows": rows,
-        }
-        _emit(args, header, rows, payload)
-        return 0
-    # khasminskii
-    if not t_grid or len(t_grid) != 1:
-        parser.error("khasminskii needs --t-grid with exactly one value")
-    rep = montecarlo.khasminskii_verify(dim, t_grid[0], args.moment, args.replicas, seed)
-    header = ("t", "m", "lhs", "rhs", "violated", "seed", "replicas", "provenance")
-    rows = [(rep.t, rep.m, rep.lhs, rep.rhs, rep.violated, seed, args.replicas, prov)]
-    payload = {"command": "simulate", **params, "provenance": prov, "row": rows[0][:5]}
-    _emit(args, header, rows, payload)
+        extra = {"a_value": rep.a_value, "violations": rep.n_violations, "rows": rows}
+    else:  # khasminskii
+        rep = montecarlo.khasminskii_verify(dim, t_grid[0], args.moment, args.replicas, seed)
+        header = ("t", "m", "lhs", "rhs", "violated", "seed", "replicas", "provenance")
+        rows = [(rep.t, rep.m, rep.lhs, rep.rhs, rep.violated, seed, args.replicas, prov)]
+        extra = {"row": rows[0][:5]}
+    _emit(args, header, rows, {"command": "simulate", **params, "provenance": prov, **extra})
     return 0
 
 
 def _cmd_chemdist(args, parser) -> int:
-    if args.alpha is None or args.dim is None or args.delta is None or not args.t_grid:
+    missing = args.dim is None or not args.t_grid
+    if missing or args.alpha in _UNSET or args.delta in _UNSET:
         parser.error("chemdist needs --alpha --dim --delta --t-grid")
-    alpha = float(_parse_grid(args.alpha, geometric=False)[0])
-    delta = float(_parse_grid(args.delta, geometric=False)[0])
-    gamma = float(_parse_grid(args.gamma, geometric=False)[0]) if args.gamma else 0.0
+    alpha, delta, gamma = _scalar(args.alpha), _scalar(args.delta), _scalar(args.gamma, 0.0)
     t_grid = _parse_grid(args.t_grid, geometric=True)
     seed = _master_seed(args)
     seeds = [seed + k for k in range(args.seeds)]

@@ -13,6 +13,9 @@ cost of the layered conductance walk hitting t^delta e_1 + t^gamma e, and
 with p clamped to zero on its polynomial range.  The two routes are kept
 independent so they can cross-check each other numerically.
 
+Each regime formula exists once: the two p branches in :func:`p_branches`,
+the five q cases in :func:`q_formula`; the callers only pick one.
+
 Regimes are reported as labels; the "polynomial" label marks parameter
 points where the deviation probability decays only polynomially (no
 stretched-exponential exponent exists), and "critical" marks the linear
@@ -65,18 +68,29 @@ def _check_alpha_dim(alpha: float, dim: int) -> None:
 
 def p_thresholds(alpha: float, dim: int) -> tuple[float, float]:
     """(lower threshold, first/second boundary) of the p regimes."""
+    lo = (alpha + 1) / (2 * alpha) if dim == 1 else dim / (2 * alpha)
+    return max(lo, 1.0), (alpha + dim) / alpha
+
+
+def p_branches(alpha, rho, dim: int):
+    """(first, second) p branch formulas, elementwise in ``rho``, whatever its regime.
+
+    first 2*alpha*rho/(alpha+1) - 1 (d = 1), (2*alpha*rho - d)/(2*alpha + d) (d >= 2);
+    second alpha*(rho-1)/d.
+    """
     if dim == 1:
-        return max((alpha + 1) / (2 * alpha), 1.0), (alpha + 1) / alpha
-    return max(dim / (2 * alpha), 1.0), (alpha + dim) / alpha
+        first = 2 * alpha * rho / (alpha + 1) - 1
+    else:
+        first = (2 * alpha * rho - dim) / (2 * alpha + dim)
+    return first, alpha * (rho - 1) / dim
 
 
 def p_exponent(alpha: float, rho: float, dim: int) -> ExponentResult:
     """Upper-deviation exponent of P(A_t >= t^rho).
 
-    d = 1:  2*alpha*rho/(alpha+1) - 1   on ((alpha+1)/(2 alpha) v 1, (alpha+1)/alpha],
-            alpha*(rho-1)               beyond;
-    d >= 2: (2*alpha*rho - d)/(2*alpha + d) on ((d/(2 alpha)) v 1, (alpha+d)/alpha],
-            alpha*(rho-1)/d             beyond.
+    The "first" branch of :func:`p_branches` holds on
+    ((d/(2 alpha)) v 1, (alpha+d)/alpha] ((alpha+1)/(2 alpha) v 1 for d = 1),
+    the "second" beyond.
 
     Below the lower threshold the decay is polynomial (marker regime).  At
     the lower threshold the exponent is 0 by monotonicity when alpha is in
@@ -94,13 +108,10 @@ def p_exponent(alpha: float, rho: float, dim: int) -> ExponentResult:
         if heavy:
             return res(0.0, BOUNDARY_ZERO)
         return res(None, CRITICAL)
+    first, second = p_branches(alpha, rho, dim)
     if rho <= rho_mid:
-        if dim == 1:
-            return res(2 * alpha * rho / (alpha + 1) - 1, "first")
-        return res((2 * alpha * rho - dim) / (2 * alpha + dim), "first")
-    if dim == 1:
-        return res(alpha * (rho - 1), "second")
-    return res(alpha * (rho - 1) / dim, "second")
+        return res(first, "first")
+    return res(second, "second")
 
 
 def p_value_clamped(alpha, rho, dim: int):
@@ -111,12 +122,7 @@ def p_value_clamped(alpha, rho, dim: int):
     """
     rho = np.asarray(rho, dtype=np.float64)
     rho_lo, rho_mid = p_thresholds(alpha, dim)
-    if dim == 1:
-        first = 2 * alpha * rho / (alpha + 1) - 1
-        second = alpha * (rho - 1)
-    else:
-        first = (2 * alpha * rho - dim) / (2 * alpha + dim)
-        second = alpha * (rho - 1) / dim
+    first, second = p_branches(alpha, rho, dim)
     out = np.where(rho <= rho_mid, first, second)
     return np.where(rho <= rho_lo, 0.0, out)
 
@@ -141,23 +147,39 @@ def q_thresholds(alpha: float, dim: int) -> dict:
     """Interval endpoints of the five q regimes (inf marks a void endpoint)."""
     if dim == 1:
         second_hi = alpha / (alpha + 1)
-        third_lo = max(second_hi, (alpha + 1) / (4 * alpha))
-        first_hi = max(0.5, (alpha + 1) / (4 * alpha))
-        third_hi = (2 * alpha + 1) / (2 * alpha)
-        fifth_lo = alpha / (alpha - 1) if alpha > 1 else np.inf
+        quarter = (alpha + 1) / (4 * alpha)
     else:
         second_hi = 2 * alpha / (2 * alpha + dim)
-        third_lo = max(second_hi, dim / (4 * alpha))
-        first_hi = max(0.5, dim / (4 * alpha))
-        third_hi = (2 * alpha + dim) / (2 * alpha)
-        fifth_lo = alpha / (alpha - dim) if alpha > dim else np.inf
+        quarter = dim / (4 * alpha)
     return {
-        "first_hi": first_hi,
+        "first_hi": max(0.5, quarter),
         "second_hi": second_hi,
-        "third_lo": third_lo,
-        "third_hi": third_hi,
-        "fifth_lo": fifth_lo,
+        "third_lo": max(second_hi, quarter),
+        "third_hi": (2 * alpha + dim) / (2 * alpha),
+        "fifth_lo": alpha / (alpha - dim) if alpha > dim else np.inf,
     }
+
+
+def q_formula(regime: str, alpha, delta, dim: int):
+    """The case formula of q named by ``regime``, whatever regime delta is in.
+
+    first 0; second 2 delta - 1; third (4 alpha delta - d)/(4 alpha + d)
+    ((4 alpha delta - alpha - 1)/(3 alpha + 1) for d = 1); fourth
+    alpha (2 delta - 1)/(alpha + d); fifth delta.
+    """
+    if regime == "first":
+        return 0.0
+    if regime == "second":
+        return 2 * delta - 1
+    if regime == "third":
+        if dim == 1:
+            return (4 * alpha * delta - alpha - 1) / (3 * alpha + 1)
+        return (4 * alpha * delta - dim) / (4 * alpha + dim)
+    if regime == "fourth":
+        return alpha * (2 * delta - 1) / (alpha + dim)
+    if regime == "fifth":
+        return float(delta)
+    raise ValueError(f"unknown q regime {regime!r}")
 
 
 def q_closed_form(alpha: float, delta: float, dim: int) -> ExponentResult:
@@ -172,20 +194,17 @@ def q_closed_form(alpha: float, delta: float, dim: int) -> ExponentResult:
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     th = q_thresholds(alpha, dim)
-    res = lambda value, regime: ExponentResult(value, regime, alpha, dim, delta=delta)
     if delta >= th["fifth_lo"]:
-        return res(float(delta), "fifth")
-    if delta > th["third_hi"]:
-        if dim == 1:
-            return res(alpha * (2 * delta - 1) / (alpha + 1), "fourth")
-        return res(alpha * (2 * delta - 1) / (alpha + dim), "fourth")
-    if delta >= th["third_lo"]:
-        if dim == 1:
-            return res((4 * alpha * delta - alpha - 1) / (3 * alpha + 1), "third")
-        return res((4 * alpha * delta - dim) / (4 * alpha + dim), "third")
-    if 0.5 <= delta < th["second_hi"]:
-        return res(2 * delta - 1, "second")
-    return res(0.0, "first")
+        regime = "fifth"
+    elif delta > th["third_hi"]:
+        regime = "fourth"
+    elif delta >= th["third_lo"]:
+        regime = "third"
+    elif 0.5 <= delta < th["second_hi"]:
+        regime = "second"
+    else:
+        regime = "first"
+    return ExponentResult(q_formula(regime, alpha, delta, dim), regime, alpha, dim, delta=delta)
 
 
 def q_value(alpha: float, delta: float, dim: int) -> float:
@@ -300,14 +319,11 @@ def optimal_rho(alpha: float, delta: float, dim: int) -> float:
             f"optimal_rho needs (alpha, delta) in the third or fourth regime, "
             f"got regime {regime!r}"
         )
-    th = q_thresholds(alpha, dim)
+    if delta >= q_thresholds(alpha, dim)["third_hi"]:
+        return (2 * dim * delta + alpha) / (alpha + dim)
     if dim == 1:
-        if delta < th["third_hi"]:
-            return (2 * delta + 1) * (alpha + 1) / (3 * alpha + 1)
-        return (2 * delta + alpha) / (alpha + 1)
-    if delta < th["third_hi"]:
-        return (2 * delta * (2 * alpha + dim) + dim) / (4 * alpha + dim)
-    return (2 * dim * delta + alpha) / (alpha + dim)
+        return (2 * delta + 1) * (alpha + 1) / (3 * alpha + 1)
+    return (2 * delta * (2 * alpha + dim) + dim) / (4 * alpha + dim)
 
 
 def range_tail_exponent(alpha: float, delta: float, dim: int, r: float) -> float:
@@ -378,11 +394,6 @@ def phase_diagram(alpha_grid, x_grid, which: str, dim: int, gamma: float = 0.0) 
 
 
 def _phase_row(alpha: float, x: float, which: str, dim: int, gamma: float) -> tuple:
-    if which == "P":
-        r = p_exponent(alpha, x, dim)
-        return (alpha, x, r.value, r.regime)
-    if which == "Q":
-        r = q_closed_form(alpha, x, dim)
-        return (alpha, x, r.value, r.regime)
-    r = q_closed_form(alpha, x, dim)
-    return (alpha, x, displacement_exponent(alpha, x, gamma, dim), r.regime)
+    r = p_exponent(alpha, x, dim) if which == "P" else q_closed_form(alpha, x, dim)
+    value = displacement_exponent(alpha, x, gamma, dim) if which == "DISPLACEMENT" else r.value
+    return (alpha, x, value, r.regime)

@@ -101,14 +101,6 @@ class LLNResult:
     dim: int
 
     @property
-    def ci_low(self) -> float:
-        return self.mean - 3 * self.stderr
-
-    @property
-    def ci_high(self) -> float:
-        return self.mean + 3 * self.stderr
-
-    @property
     def within_3_sigma(self) -> bool:
         return abs(self.mean - self.target) <= 3 * self.stderr
 
@@ -281,7 +273,7 @@ def tail_prob_scan(
                 alpha, dim, RWRS_RATE, t, seed, replicas, tag=(_KEY_TAIL_RWRS, i)
             )
             k = int(np.sum(a_vals >= t**rho))
-            return tail_estimate(k, replicas, log_t=float(np.log(t)))
+            return tail_estimate(k, replicas)
 
         estimates = _map_indexed(one_rwrs, len(t_grid), jobs)
     elif model == "rcm":
@@ -304,7 +296,7 @@ def tail_prob_scan(
             target[1] = round_half_away(t**gamma)
             ends = _kernels.composed_endpoints_batch(field, t, seed, replicas, (_KEY_TAIL_RCM, i))
             k = int(np.sum(np.all(ends == target, axis=1)))
-            return tail_estimate(k, replicas, log_t=float(np.log(t)))
+            return tail_estimate(k, replicas)
 
         estimates = _map_indexed(one_rcm, len(t_grid), jobs)
     else:
@@ -367,7 +359,7 @@ def transition_prob_mc(
     hits = 0
     for _, pos, live in _kernels.skeletons(dim, total_rate, t, replicas, rng):
         hits += int(np.sum(np.all(_kernels.endpoints(pos, live) == x, axis=-1)))
-    return tail_estimate(hits, replicas, log_t=float(np.log(t)))
+    return tail_estimate(hits, replicas)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +588,7 @@ def chen_verify(
     for lam in _CHEN_LAMBDAS:
         thr = lam * a_value * b_value
         k = int(np.sum(occ >= thr))
-        est = tail_estimate(k, occ.size, log_t=float(np.log(t)))
+        est = tail_estimate(k, occ.size)
         rows.append(
             ChenCheckRow(
                 lam=float(lam),

@@ -23,7 +23,6 @@ class TailEstimate:
     ci_low: float
     ci_high: float
     replicas: int
-    log_t: float = float("nan")
 
     def __post_init__(self):
         if not self.ci_low <= self.probability <= self.ci_high:
@@ -51,11 +50,11 @@ def wilson_ci(successes, trials: int, z: float = Z95):
     return lo, hi
 
 
-def tail_estimate(successes: int, trials: int, log_t: float = float("nan")) -> TailEstimate:
+def tail_estimate(successes: int, trials: int) -> TailEstimate:
     lo, hi = wilson_ci(successes, trials)
     p = successes / trials
     # guard the bracket against the last-ulp rounding at p in {0, 1}
-    return TailEstimate(p, min(lo, p), max(hi, p), trials, log_t)
+    return TailEstimate(p, min(lo, p), max(hi, p), trials)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 """Acceptance-suite checkers with pinned parameters and tolerances.
 
 Each checker runs one acceptance criterion end to end at its stated scale
-and returns a :class:`VerifyResult`; the pytest acceptance module and the
-``verify`` CLI subcommand both dispatch through :data:`SUITES`.  Master
-seeds are fixed here so reruns are bit-reproducible.
+and returns ``(passed, details)``; its ``@_suite(name, budget_s)`` line
+holds the criterion's name and wall-clock budget, and turns the call into a
+timed :class:`VerifyResult`.  The pytest acceptance module and the
+``verify`` CLI subcommand both dispatch through :data:`SUITES`, the one
+key -> checker table.  Master seeds are fixed here so reruns are
+bit-reproducible.  The regime formulas that the continuity suite compares
+are the shipped ones, ``exponents.p_branches`` and ``exponents.q_formula``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -43,21 +48,25 @@ class VerifyResult:
         return f"{status} {self.name} ({self.runtime_s:.1f}s/{self.budget_s:.0f}s budget{notes})"
 
 
-def _timed(name, budget_s, passed, details, t0) -> VerifyResult:
-    runtime = time.perf_counter() - t0
-    return VerifyResult(
-        name=name,
-        statistic_passed=bool(passed),
-        within_budget=runtime < budget_s,
-        runtime_s=runtime,
-        budget_s=budget_s,
-        details=details,
-    )
+def _suite(name: str, budget_s: float):
+    """Decorate a checker returning (passed, details) into a timed VerifyResult."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def run() -> VerifyResult:
+            t0 = time.perf_counter()
+            passed, details = check()
+            runtime = time.perf_counter() - t0
+            return VerifyResult(name, bool(passed), runtime < budget_s, runtime, budget_s, details)
+
+        return run
+
+    return wrap
 
 
-def check_variational_identity() -> VerifyResult:
+@_suite("variational identity", 10.0)
+def check_variational_identity():
     """|q_variational - q_closed_form| <= 1e-9 on a 200x200 grid, d in {1,2,3}."""
-    t0 = time.perf_counter()
     alphas = np.linspace(0.2, 4.0, 200)
     deltas = np.linspace(0.0, 3.0, 200)
     worst = 0.0
@@ -67,14 +76,12 @@ def check_variational_identity() -> VerifyResult:
         for i, a in enumerate(alphas):
             qc[i] = [exponents.q_value(a, d, dim) for d in deltas]
         worst = max(worst, float(np.abs(qv - qc).max()))
-    return _timed(
-        "variational identity", 10.0, worst <= 1e-9, {"max_abs_deviation": worst}, t0
-    )
+    return worst <= 1e-9, {"max_abs_deviation": worst}
 
 
-def check_regime_continuity() -> VerifyResult:
+@_suite("regime continuity", 1.0)
+def check_regime_continuity():
     """p and q continuous across interior regime boundaries, tol 1e-12."""
-    t0 = time.perf_counter()
     rng = philox(31337, 2)
     worst = 0.0
     n_points = 0
@@ -82,81 +89,58 @@ def check_regime_continuity() -> VerifyResult:
         alpha = float(rng.uniform(0.2, 4.0))
         dim = int(rng.integers(1, 4))
         # p: both branches must give 1 at the first/second boundary
-        _, rho_mid = exponents.p_thresholds(alpha, dim)
-        if dim == 1:
-            first = 2 * alpha * rho_mid / (alpha + 1) - 1
-            second = alpha * (rho_mid - 1)
-        else:
-            first = (2 * alpha * rho_mid - dim) / (2 * alpha + dim)
-            second = alpha * (rho_mid - 1) / dim
+        rho_lo, rho_mid = exponents.p_thresholds(alpha, dim)
+        first, second = exponents.p_branches(alpha, rho_mid, dim)
         worst = max(worst, abs(first - 1.0), abs(second - 1.0))
         n_points += 1
         # p: continuity of the clamped version at the polynomial threshold
-        rho_lo, _ = exponents.p_thresholds(alpha, dim)
         if alpha <= (1.0 if dim == 1 else dim / 2):
             worst = max(worst, abs(exponents.p_value_clamped(alpha, rho_lo, dim)))
             n_points += 1
         # q: adjacent case formulas at every interior boundary
         th = exponents.q_thresholds(alpha, dim)
-        d_, a_ = dim, alpha
-        if d_ == 1:
-            third = lambda x: (4 * a_ * x - a_ - 1) / (3 * a_ + 1)
-            fourth = lambda x: a_ * (2 * x - 1) / (a_ + 1)
-        else:
-            third = lambda x: (4 * a_ * x - d_) / (4 * a_ + d_)
-            fourth = lambda x: a_ * (2 * x - 1) / (a_ + d_)
-        second_f = lambda x: 2 * x - 1
+
+        def gap(lower, upper, x):
+            q_lower = exponents.q_formula(lower, alpha, x, dim)
+            return abs(q_lower - exponents.q_formula(upper, alpha, x, dim))
+
         heavy = alpha < (1.0 if dim == 1 else dim / 2)
         if heavy:
-            worst = max(worst, abs(third(th["third_lo"]) - 0.0))
+            worst = max(worst, gap("third", "first", th["third_lo"]))
         else:
-            worst = max(worst, abs(second_f(0.5) - 0.0))
+            worst = max(worst, gap("second", "first", 0.5))
             if th["second_hi"] > 0.5:
-                worst = max(worst, abs(second_f(th["second_hi"]) - third(th["second_hi"])))
+                worst = max(worst, gap("second", "third", th["second_hi"]))
             n_points += 1
-        worst = max(worst, abs(third(th["third_hi"]) - fourth(th["third_hi"])))
+        worst = max(worst, gap("third", "fourth", th["third_hi"]))
         if np.isfinite(th["fifth_lo"]):
-            worst = max(worst, abs(fourth(th["fifth_lo"]) - th["fifth_lo"]))
+            worst = max(worst, gap("fourth", "fifth", th["fifth_lo"]))
             n_points += 1
         n_points += 2
-    return _timed(
-        "regime continuity", 1.0, worst <= 1e-12, {"max_abs_gap": worst, "points": n_points}, t0
-    )
+    return worst <= 1e-12, {"max_abs_gap": worst, "points": n_points}
 
 
-def check_lln() -> VerifyResult:
+@_suite("law of large numbers", 120.0)
+def check_lln():
     """Mean A_t/t within 3 sigma of alpha/(alpha-1) at alpha=2, d=1, t=1e4."""
-    t0 = time.perf_counter()
     r = montecarlo.lln_check(alpha=2.0, dim=1, t=1e4, replicas=1000, seed=101)
-    return _timed(
-        "law of large numbers",
-        120.0,
-        r.within_3_sigma,
-        {"mean": r.mean, "stderr": r.stderr, "target": r.target},
-        t0,
-    )
+    return r.within_3_sigma, {"mean": r.mean, "stderr": r.stderr, "target": r.target}
 
 
-def check_ks_scaling() -> VerifyResult:
+@_suite("self-similar scaling", 600.0)
+def check_ks_scaling():
     """Median log A_t / log t slope at alpha=0.8, d=1: 1.125 +- 0.1."""
-    t0 = time.perf_counter()
     grid = [10**k for k in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)]
     est = montecarlo.scaling_exponent_estimate(
         alpha=0.8, dim=1, t_grid=grid, replicas=10_000, quantile=0.5, seed=202
     )
     ok = abs(est.slope - est.reference) <= 0.1
-    return _timed(
-        "self-similar scaling",
-        600.0,
-        ok,
-        {"slope": est.slope, "stderr": est.stderr, "reference": est.reference},
-        t0,
-    )
+    return ok, {"slope": est.slope, "stderr": est.stderr, "reference": est.reference}
 
 
-def check_polynomial_regime() -> VerifyResult:
+@_suite("polynomial regime", 600.0)
+def check_polynomial_regime():
     """Polynomial-regime tail scan: floor holds, slope stable under doubling."""
-    t0 = time.perf_counter()
     grid = [100.0, 1000.0, 10_000.0]
     scan1 = montecarlo.tail_prob_scan(
         "rwrs", alpha=0.5, dim=1, t_grid=grid, replicas=10_000, seed=303, rho=1.2
@@ -171,23 +155,17 @@ def check_polynomial_regime() -> VerifyResult:
         < 2 * np.hypot(scan1.slope.stderr, scan2.slope.stderr) + 1e-12
     )
     ok = scan1.floor_ok and scan2.floor_ok and stable
-    return _timed(
-        "polynomial regime",
-        600.0,
-        ok,
-        {
-            "floor_ok": scan1.floor_ok and scan2.floor_ok,
-            "slope_10k": None if scan1.slope is None else scan1.slope.slope,
-            "slope_20k": None if scan2.slope is None else scan2.slope.slope,
-            "probabilities": [e.probability for e in scan1.estimates],
-        },
-        t0,
-    )
+    return ok, {
+        "floor_ok": scan1.floor_ok and scan2.floor_ok,
+        "slope_10k": None if scan1.slope is None else scan1.slope.slope,
+        "slope_20k": None if scan2.slope is None else scan2.slope.slope,
+        "probabilities": [e.probability for e in scan1.estimates],
+    }
 
 
-def check_chemdist_exponent() -> VerifyResult:
+@_suite("chemical distance exponent", 300.0)
+def check_chemdist_exponent():
     """Distance growth slope 2/3 +- 0.1, plus exact oracle equivalence."""
-    t0 = time.perf_counter()
     grid = [10**k for k in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)]
     fit = chemdist.chemdist_scaling(
         alpha=1.0, dim=1, delta=1.0, gamma=0.0, t_grid=grid, seeds=range(20)
@@ -212,18 +190,12 @@ def check_chemdist_exponent() -> VerifyResult:
         if not d_dij2.box_sufficient or abs(d_dij2.value - d_fast) > 1e-9:
             mismatches += 1
     ok = slope_ok and mismatches == 0
-    return _timed(
-        "chemical distance exponent",
-        300.0,
-        ok,
-        {"slope": fit.slope, "target": target, "oracle_mismatches": mismatches},
-        t0,
-    )
+    return ok, {"slope": fit.slope, "target": target, "oracle_mismatches": mismatches}
 
 
-def check_metric_axioms() -> VerifyResult:
+@_suite("metric axioms", 60.0)
+def check_metric_axioms():
     """Metric axioms and d <= l1 on 5x5 boxes over 100 seeds, zero violations."""
-    t0 = time.perf_counter()
     violations = 0
     box = ((0, 4), (0, 4))
     sites = [(i, j) for i in range(5) for j in range(5)]
@@ -247,32 +219,26 @@ def check_metric_axioms() -> VerifyResult:
                     violations += 1
         tri = dmat[:, :, None] + dmat[None, :, :] - dmat[:, None, :]
         violations += int((tri < -1e-12).sum())
-    return _timed("metric axioms", 60.0, violations == 0, {"violations": violations}, t0)
+    return violations == 0, {"violations": violations}
 
 
-def check_time_change() -> VerifyResult:
+@_suite("time-change representation", 300.0)
+def check_time_change():
     """Two-sample chi-square direct VSRW vs composed law at t=50, 1e5 each."""
-    t0 = time.perf_counter()
     fx = CALIBRATION["vsrw_fixture"]
     f = scenery.SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
     cmp_ = montecarlo.time_change_distribution_check(f, 50.0, 100_000, seed=505)
-    return _timed(
-        "time-change representation",
-        300.0,
-        cmp_.chi2.passed,
-        {
-            "chi2": cmp_.chi2.statistic,
-            "dof": cmp_.chi2.dof,
-            "critical_0.01": cmp_.chi2.critical,
-            "support_sites": cmp_.n_support,
-        },
-        t0,
-    )
+    return cmp_.chi2.passed, {
+        "chi2": cmp_.chi2.statistic,
+        "dof": cmp_.chi2.dof,
+        "critical_0.01": cmp_.chi2.critical,
+        "support_sites": cmp_.n_support,
+    }
 
 
-def check_appendix_bounds() -> VerifyResult:
+@_suite("appendix bounds", 900.0)
+def check_appendix_bounds():
     """Chen-type tail and factorial moment bound: zero violations on the grid."""
-    t0 = time.perf_counter()
     violations = 0
     details = {}
     for t in (100.0, 400.0):
@@ -286,12 +252,12 @@ def check_appendix_bounds() -> VerifyResult:
             rep = montecarlo.khasminskii_verify(1, t, m, 1_000_000, seed=707)
             violations += int(rep.violated)
             details[f"khas_t{int(t)}_m{m}"] = {"lhs": rep.lhs, "rhs": rep.rhs}
-    return _timed("appendix bounds", 900.0, violations == 0, details, t0)
+    return violations == 0, details
 
 
-def check_field_law() -> VerifyResult:
+@_suite("field law", 60.0)
+def check_field_law():
     """KS <= 0.002 at alpha in {0.5, 1, 2}; exceedance matches MC within 3 SE."""
-    t0 = time.perf_counter()
     worst_ks = 0.0
     for alpha in (0.5, 1.0, 2.0):
         f = scenery.SceneryField(alpha=alpha, dim=1, seed=2024)
@@ -306,18 +272,12 @@ def check_field_law() -> VerifyResult:
     p = scenery.exceedance_prob(1.0, 1, 1, 2.0)
     se = float(np.sqrt(p * (1 - p) / seeds.size))
     ok = worst_ks <= 0.002 and abs(freq - p) <= 3 * se
-    return _timed(
-        "field law",
-        60.0,
-        ok,
-        {"worst_ks": worst_ks, "exceed_mc": freq, "exceed_exact": p, "se": se},
-        t0,
-    )
+    return ok, {"worst_ks": worst_ks, "exceed_mc": freq, "exceed_exact": p, "se": se}
 
 
-def check_level_occupation() -> VerifyResult:
+@_suite("level occupation scaling", 600.0)
+def check_level_occupation():
     """Mean level-set occupation grows no faster than t^(eta/2 + 0.1) (d=1)."""
-    t0 = time.perf_counter()
     rep = montecarlo.level_mean_occupation(
         alpha=1.0,
         dim=1,
@@ -329,20 +289,15 @@ def check_level_occupation() -> VerifyResult:
         replicas=25,
         master_seed=808,
     )
-    return _timed(
-        "level occupation scaling",
-        600.0,
-        rep.within_bound,
-        {"slope": rep.slope.slope, "bound": rep.reference_exponent + 0.1, "means": rep.means},
-        t0,
-    )
+    bound = rep.reference_exponent + 0.1
+    return rep.within_bound, {"slope": rep.slope.slope, "bound": bound, "means": rep.means}
 
 
-def check_determinism() -> VerifyResult:
+@_suite("determinism", 60.0)
+def check_determinism():
     """Reruns with the same master seed produce byte-identical outputs."""
     from . import reporting
 
-    t0 = time.perf_counter()
     r1 = montecarlo.lln_check(alpha=2.0, dim=1, t=100.0, replicas=512, seed=909)
     r2 = montecarlo.lln_check(alpha=2.0, dim=1, t=100.0, replicas=512, seed=909)
     rows = exponents.phase_diagram([1.0], [1.5], "P", 1)
@@ -354,7 +309,7 @@ def check_determinism() -> VerifyResult:
     json1 = reporting.render_json(payload)
     json2 = reporting.render_json({"seed": 909, "stderr": r2.stderr, "mean": r2.mean})
     ok = r1 == r2 and csv1 == csv2 and json1 == json2
-    return _timed("determinism", 60.0, ok, {"lln_equal": r1 == r2}, t0)
+    return ok, {"lln_equal": r1 == r2}
 
 
 SUITES = {

@@ -1,8 +1,8 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -279,6 +279,16 @@ class TestSimulateCommand:
         assert code == 0
         assert from_list == from_flag
 
+    def test_config_empty_list_is_unset(self, tmp_path):
+        base = {"alpha": 0.5, "dim": 1, "delta": 0.4, "t_grid": "100", "replicas": 50, "seed": 9}
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps({**base, "rho": [], "gamma": []}))
+        cfg_unset = tmp_path / "unset.json"
+        cfg_unset.write_text(json.dumps(base))
+        code, with_empty = run_cli(["simulate", "tail-scan", "--config", str(cfg)])
+        assert code == 0
+        assert with_empty == run_cli(["simulate", "tail-scan", "--config", str(cfg_unset)])[1]
+
     def test_geometric_grid_needs_positive_ends(self, capsys):
         args = ["simulate", "tail-scan", "--alpha", "0.5", "--dim", "1", "--rho", "1.2"]
         code, _ = run_cli(args + ["--t-grid", "100:-5:3", "--replicas", "10"])
@@ -388,7 +398,7 @@ class TestVerifyCommand:
     def test_over_budget_fails_with_statistic_reported(self, tmp_path, monkeypatch):
         from scenerywalk import verify
 
-        slow = lambda: verify._timed("slow", 0.0, True, {}, time.perf_counter())
+        slow = verify._suite("slow", 0.0)(lambda: (True, {}))
         monkeypatch.setitem(verify.SUITES, "determinism", slow)
         out_file = tmp_path / "report.json"
         code, out = run_cli(["verify", "--suite", "determinism", "--out", str(out_file)])
@@ -434,3 +444,100 @@ class TestFieldRecordConfig:
         cfg.write_text(json.dumps({"field": {"alpha": 2.0, "law": "Gaussian"}}))
         code, _ = run_cli(["simulate", "lln", "--config", str(cfg), "--replicas", "8"])
         assert code == 2
+
+
+#: tiny invocations whose stdout bytes are pinned (SHA-256) against a
+#: front-end refactor: every simulate task in csv and json, both tail-scan
+#: models, chemdist and the three exponent tables
+_SIM = ["--dim", "1", "--seed", "3"]
+_PINNED = {
+    "lln": ["simulate", "lln", "--alpha", "2", "--t-grid", "100", "--replicas", "200", *_SIM],
+    "scaling": [
+        "simulate", "scaling", "--alpha", "0.8", "--t-grid", "100:1000:5", "--replicas", "200",
+        *_SIM,
+    ],
+    "tail-scan-rwrs": [
+        "simulate", "tail-scan", "--alpha", "0.5", "--rho", "1.2", "--t-grid", "100,1000",
+        "--replicas", "500", *_SIM,
+    ],
+    "tail-scan-rcm": [
+        "simulate", "tail-scan", "--alpha", "0.5", "--delta", "0.4", "--gamma", "0.1",
+        "--t-grid", "100,1000", "--replicas", "500", *_SIM,
+    ],
+    "chen": ["simulate", "chen", "--alpha", "2", "--t-grid", "100", "--replicas", "2000", *_SIM],
+    "khasminskii": [
+        "simulate", "khasminskii", "--alpha", "2", "--t-grid", "100", "--replicas", "2000",
+        "--moment", "3", *_SIM,
+    ],
+    "chemdist": [
+        "chemdist", "--alpha", "1", "--delta", "1", "--gamma", "0.2", "--t-grid", "100:1000:5",
+        "--seeds", "2", *_SIM,
+    ],
+    "exponents-p": [
+        "exponents", "--which", "p", "--alpha", "0.5,1,2", "--rho", "0.8:3:5", "--dim", "2",
+    ],
+    "exponents-q": [
+        "exponents", "--which", "q", "--alpha", "0.5,1,2,3", "--delta", "0:3:7", "--dim", "1",
+    ],
+    "exponents-displacement": [
+        "exponents", "--which", "displacement", "--alpha", "0.5,2", "--delta", "0:3:4",
+        "--gamma", "0.7", "--dim", "3",
+    ],
+}
+_PINNED_SHA256 = {
+    "chemdist csv": "7be803dd84ed8eef003782753ce8c557fce213c4f2827f8633b9a301361d5965",
+    "chemdist json": "0dac44978f6e9cf98444428838dce07e209dccf0059ae63ab827fa412c479de2",
+    "chen csv": "4fdfe1ee931d230cd4d9274907aef21eae5c204375e10516fd90251dcaa8765b",
+    "chen json": "1919a6fdd248ac0ef1b1c80c6649038efbc93be55c7b590d7c7ddf152bee006f",
+    "exponents-displacement csv": "808418ab538bf1e11a42db47b60a6e9bd9db8666a0e9899c450f448fec7227b7",
+    "exponents-displacement json": "9230bf9440d4c30c1641bc49e81ab136d92822e8a446cea22244fb5506ca3959",
+    "exponents-p csv": "556d9c9a58bfa7d5cc90bd6e386cad8d103d71c3e5c6dd9752e22fb78b69fe2c",
+    "exponents-p json": "897c8b67b7f4d3b5110aebf8cc24175b82e1079a31df2e7c280695abbd6cdd3d",
+    "exponents-q csv": "91d28fbd5f18b0b71e1270f61acc2e7ece605cdd9a402f4f36b34dea543dab4a",
+    "exponents-q json": "a6f0f6449c090891e3e537014b6863578480e0084262b17239b7f06382f42c10",
+    "khasminskii csv": "5328d78bb742eabc01f74b91aaff52ef30beee32b93ab0cc9cb1eea7278e172b",
+    "khasminskii json": "070ee61eb7e21e6eb7a2ae5f9800057bc4803a774e33c70571e6594502ab2e57",
+    "lln csv": "6a79576b32ec31de73cbbb834e67eed9b4f76f50ec270294b523053ef5654b7f",
+    "lln json": "7cbef04eccb5beeecbad32e35a0fb2fcaf65096c43d3984740d4595a2e8b45da",
+    "scaling csv": "c0c7be0463e74da0e8a5bb8fbfa131304a78cc5106f097d9a4c1332e974a45b6",
+    "scaling json": "96fe8b5779efe9cd162a6b6d090a70e851674605553297759894b9e9f4fe2adc",
+    "tail-scan-rcm csv": "3bb437897be4870994b33310a70735bbbb05c561d3763e458a9be6668b7f3a39",
+    "tail-scan-rcm json": "cbcad6afe5736d822c75259cfa710fbccf3272b6800b2684406431dec4c02d07",
+    "tail-scan-rwrs csv": "51e559699619c41e600917a04201b511e225c7d7af5d24e66e1a5873d68af79f",
+    "tail-scan-rwrs json": "0fea6973cc3fd60a490d4cdd80c3f04778a8bca1d55c95fd18eb714b9579aead",
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_stdout_bytes_pinned(self, name, fmt):
+        code, out = run_cli(_PINNED[name] + ["--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SHA256[f"{name} {fmt}"]
+
+    def test_scaling_jobs_do_not_change_bytes(self):
+        one = run_cli(_PINNED["scaling"] + ["--jobs", "1"])
+        two = run_cli(_PINNED["scaling"] + ["--jobs", "2"])
+        assert one == two and one[0] == 0
+
+    @pytest.mark.parametrize(
+        "task, t_grid, message",
+        [
+            ("lln", ["--t-grid", "100,200"], "lln needs --t-grid with exactly one value"),
+            ("chen", ["--t-grid", "100,200"], "chen needs --t-grid with exactly one value"),
+            (
+                "khasminskii",
+                ["--t-grid", "100,200"],
+                "khasminskii needs --t-grid with exactly one value",
+            ),
+            ("scaling", [], "scaling needs --t-grid"),
+            ("tail-scan", ["--rho", "1.2"], "tail-scan needs --t-grid"),
+        ],
+    )
+    def test_horizon_usage_errors(self, capsys, task, t_grid, message):
+        code, out = run_cli(
+            ["simulate", task, "--alpha", "2", "--replicas", "20", *_SIM, *t_grid]
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")

@@ -271,3 +271,36 @@ class TestPhaseDiagram:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             E.phase_diagram([1.0], [1.0], "Z", 1)
+
+
+class TestShippedFormulas:
+    """The continuity suite checks the formulas the package ships, not a copy."""
+
+    def test_continuity_sees_perturbed_q_case(self, monkeypatch):
+        from scenerywalk import verify
+
+        q_formula = E.q_formula
+
+        def perturbed(regime, alpha, delta, dim):
+            bump = 1e-9 if regime == "fourth" else 0.0
+            return q_formula(regime, alpha, delta, dim) + bump
+
+        assert verify.check_regime_continuity().statistic_passed
+        monkeypatch.setattr(E, "q_formula", perturbed)
+        assert not verify.check_regime_continuity().statistic_passed
+
+    def test_continuity_sees_perturbed_p_branch(self, monkeypatch):
+        from scenerywalk import verify
+
+        p_branches = E.p_branches
+
+        def perturbed(alpha, rho, dim):
+            first, second = p_branches(alpha, rho, dim)
+            return first, second + 1e-9
+
+        monkeypatch.setattr(E, "p_branches", perturbed)
+        assert not verify.check_regime_continuity().statistic_passed
+
+    def test_q_formula_rejects_unknown_regime(self):
+        with pytest.raises(ValueError):
+            E.q_formula("sixth", 1.0, 1.0, 1)
