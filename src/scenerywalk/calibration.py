@@ -1,7 +1,7 @@
 """Pilot-calibrated artifact constants, with provenance.
 
-None of these numbers come from the theory: finite-t slacks, envelope
-constants and regime floors are measurement artifacts.  Each entry records
+None of these numbers come from the theory: finite-t slacks, regime
+floors and fixture seeds are measurement artifacts.  Each entry records
 how it was produced so it can be regenerated with
 ``tools/pilot_calibration.py`` (master seed 20240617); they are inputs to
 property tests, never ground truth.
@@ -10,18 +10,6 @@ property tests, never ground truth.
 from __future__ import annotations
 
 CALIBRATION = {
-    "hk_constants": {
-        # sandwich envelope for p_t(0,x); c2/c4 pushed out 35% from the
-        # fitted Gaussian decay rate, prefactors cleared past every pilot CI
-        "c1": 0.310591,
-        "c2": 0.872018,
-        "c3": 0.507919,
-        "c4": 0.308328,
-        "provenance": (
-            "tools/pilot_calibration.py fit_hk_constants: d=1, t in {10,100}, "
-            "|x| <= 2t, 400k replicas/point, master seed 20240617, 22 estimable points"
-        ),
-    },
     "polynomial_floor_exponent": {
         "value": 6.0,
         "provenance": (

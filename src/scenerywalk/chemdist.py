@@ -229,6 +229,14 @@ def round_half_away(v: float) -> int:
     return int(np.sign(v) * np.floor(abs(v) + 0.5))
 
 
+def target_site(t: float, delta: float, gamma: float, dim: int) -> np.ndarray:
+    """t^delta e_1 + t^gamma e rounded half away from zero, e the first transverse direction."""
+    target = np.zeros(1 + dim, dtype=np.int64)
+    target[0] = round_half_away(t**delta)
+    target[1] = round_half_away(t**gamma)
+    return target
+
+
 @dataclass(frozen=True)
 class ScalingFit:
     """Log-log slope of chemical distances over a t grid."""
@@ -249,8 +257,7 @@ def chemdist_scaling(
 ) -> ScalingFit:
     """Fit the growth exponent of d(0, t^delta e_1 + t^gamma e) in t.
 
-    Targets are rounded to the closest lattice points (half away from zero);
-    ``e`` is the first transverse direction.  Requires delta > 1/2 and a
+    Targets are the lattice points of :func:`target_site`.  Requires delta > 1/2 and a
     geometric grid with at least 5 points; returns the pooled log-log
     regression over all (t, seed) distances.  ``field_factory`` replaces the
     Pareto field constructor for degenerate-law oracles.
@@ -265,9 +272,7 @@ def chemdist_scaling(
     rows = []
     origin = np.zeros(1 + dim, dtype=np.int64)
     for t in t_grid:
-        target = np.zeros(1 + dim, dtype=np.int64)
-        target[0] = round_half_away(t**delta)
-        target[1] = round_half_away(t**gamma)
+        target = target_site(t, delta, gamma, dim)
         for seed in seeds:
             dist = detour_distance(field_factory(int(seed)), origin, target)
             rows.append((t, int(seed), dist))

@@ -66,6 +66,11 @@ def _check_alpha_dim(alpha: float, dim: int) -> None:
         raise ValueError(f"dim must be a positive integer, got {dim}")
 
 
+def finite_mean_threshold(dim: int) -> float:
+    """Finite-mean threshold of alpha: 1 for d = 1, d/2 for d >= 2 (callers pick < or <=)."""
+    return 1.0 if dim == 1 else dim / 2.0
+
+
 def p_thresholds(alpha: float, dim: int) -> tuple[float, float]:
     """(lower threshold, first/second boundary) of the p regimes."""
     lo = (alpha + 1) / (2 * alpha) if dim == 1 else dim / (2 * alpha)
@@ -100,7 +105,7 @@ def p_exponent(alpha: float, rho: float, dim: int) -> ExponentResult:
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     rho_lo, rho_mid = p_thresholds(alpha, dim)
-    heavy = alpha <= (1.0 if dim == 1 else dim / 2.0)
+    heavy = alpha <= finite_mean_threshold(dim)
     res = lambda value, regime: ExponentResult(value, regime, alpha, dim, rho=rho)
     if rho < rho_lo:
         return res(None, POLYNOMIAL)
@@ -134,12 +139,11 @@ def ldp_exponent(alpha: float, dim: int) -> float:
     hypothesis of the linear large deviation result).
     """
     _check_alpha_dim(alpha, dim)
+    if alpha <= finite_mean_threshold(dim):
+        needs = "1 when dim == 1" if dim == 1 else "dim/2 when dim >= 2"
+        raise ValueError(f"ldp_exponent requires alpha > {needs}")
     if dim == 1:
-        if alpha <= 1:
-            raise ValueError("ldp_exponent requires alpha > 1 when dim == 1")
         return (alpha - 1) / (alpha + 1)
-    if alpha <= dim / 2:
-        raise ValueError("ldp_exponent requires alpha > dim/2 when dim >= 2")
     return (2 * alpha - dim) / (2 * alpha + dim)
 
 
@@ -361,7 +365,7 @@ def _q_boundaries(alpha: float, dim: int) -> list[float]:
     pts = {th["first_hi"], th["third_lo"], th["third_hi"]}
     if np.isfinite(th["fifth_lo"]):
         pts.add(th["fifth_lo"])
-    heavy = alpha < (1.0 if dim == 1 else dim / 2.0)
+    heavy = alpha < finite_mean_threshold(dim)
     if not heavy:
         pts.add(0.5)
     return sorted(pts)

@@ -11,6 +11,13 @@ those regimes raise :class:`StretchedRegimeError`.  Every estimator is
 reproducible bit-exactly from (master seed, parameters): randomness flows
 through keyed Philox streams only.
 
+Each law has one sampler.  ``_occupation`` (time in a site set, by default
+l_t(0)) serves local_time_samples, chen_verify, khasminskii_verify and
+strategy_lower_bound, so an exact d = 1 origin local time (ROADMAP item 7)
+changes only it.  ``_functional`` (A_t) serves lln_check,
+scaling_exponent_estimate and the rwrs tail scan; both tail-scan models
+share one grid loop, and the rcm target is ``chemdist.target_site``.
+
 Stream keys are tuples whose head is the estimator's own ``_KEY_*`` constant
 below, followed by its grid indices (or, where there is none, the float64
 bits of a parameter such as the horizon), so keys of different estimators
@@ -22,17 +29,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ive
 
 from . import _kernels, exponents
+from .chemdist import target_site
 from .scenery import SceneryField, box_sites
 from .stats import (
     SlopeFit,
     TailEstimate,
     loglog_slope,
+    standard_error,
     tail_estimate,
     two_sample_chisquare,
     wilson_ci,
@@ -69,20 +78,27 @@ class StretchedRegimeError(RuntimeError):
     """
 
 
-def _origin_indicator(pos: np.ndarray) -> np.ndarray:
-    return np.all(pos == 0, axis=-1)
-
-
-def _site_set_indicator(sites: Sequence[tuple]) -> Callable[[np.ndarray], np.ndarray]:
-    arr = [np.asarray(s, dtype=np.int32).reshape(1, 1, -1) for s in sites]
+def _occupation(dim: int, t: float, replicas: int, seed: int, tag, sites=None, start=None):
+    """Time the rate-1 walk from ``start`` spends by t in a finite site set (default: the origin)."""
+    if sites is None:
+        sites = ((0,) * dim,)
+    marks = [np.asarray(s, dtype=np.int32) for s in sites]
 
     def indicator(pos: np.ndarray) -> np.ndarray:
-        mask = np.zeros(pos.shape[:-1], dtype=bool)
-        for s in arr:
+        mask = np.all(pos == marks[0], axis=-1)
+        for s in marks[1:]:
             mask |= np.all(pos == s, axis=-1)
         return mask
 
-    return indicator
+    return _kernels.occupation_batch(dim, RWRS_RATE, t, seed, replicas, tag, indicator, start=start)
+
+
+def _functional(alpha: float, dim: int, t: float, replicas: int, seed: int, tag, law_override=None):
+    """A_t = int_0^t z(S_u) du of the rate-1 walk, fresh Pareto scenery per replica or z == law_override."""
+    weight = None
+    if law_override is not None:
+        weight = lambda sites: np.full(sites.shape[:-1], float(law_override))
+    return _kernels.additive_functional_batch(alpha, dim, RWRS_RATE, t, seed, replicas, tag, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +139,11 @@ def lln_check(
         raise ValueError("lln_check requires alpha > 1 (scenery mean must be finite)")
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-    site_weight = None
-    if law_override is not None:
-        site_weight = lambda pos: np.full(pos.shape[:-1], float(law_override))
-    a_vals = _kernels.additive_functional_batch(
-        alpha, dim, RWRS_RATE, t, seed, replicas, tag=_KEY_LLN, site_weight=site_weight
-    )
-    ratios = a_vals / t
+    ratios = _functional(alpha, dim, t, replicas, seed, _KEY_LLN, law_override) / t
     target = float(law_override) if law_override is not None else alpha / (alpha - 1)
     return LLNResult(
         mean=float(ratios.mean()),
-        stderr=float(ratios.std(ddof=1) / np.sqrt(replicas)),
+        stderr=standard_error(ratios),
         target=target,
         replicas=replicas,
         t=t,
@@ -194,22 +204,14 @@ def scaling_exponent_estimate(
         raise ValueError("scaling_exponent_estimate covers the alpha <= 1 range")
     if not 0 < quantile < 1:
         raise ValueError("quantile must be in (0, 1)")
-    site_weight = None
-    if law_override is not None:
-        site_weight = lambda pos: np.full(pos.shape[:-1], float(law_override))
 
     def one(i: int):
-        a_vals = _kernels.additive_functional_batch(
-            alpha, dim, RWRS_RATE, t_grid[i], seed, replicas, (_KEY_SCALING, i), site_weight
-        )
+        a_vals = _functional(alpha, dim, t_grid[i], replicas, seed, (_KEY_SCALING, i), law_override)
         return (t_grid[i], float(np.quantile(a_vals, quantile)))
 
     qs = _map_indexed(one, len(t_grid), jobs)
     fit = loglog_slope([q[0] for q in qs], [q[1] for q in qs])
-    if dim == 1:
-        reference, one_sided = (alpha + 1) / (2 * alpha), False
-    else:
-        reference, one_sided = dim / (2 * alpha), True
+    reference, one_sided = exponents.p_thresholds(alpha, dim)[0], dim >= 2
     if law_override is not None:
         reference, one_sided = 1.0, False
     return ScalingEstimate(fit.slope, fit.stderr, tuple(qs), reference, one_sided)
@@ -257,7 +259,6 @@ def tail_prob_scan(
     if not t_grid or replicas < 1:
         raise ValueError("need a non-empty t grid and replicas >= 1")
     floor_exponent = CALIBRATION["polynomial_floor_exponent"]["value"]
-    estimates = []
     if model == "rwrs":
         if rho is None:
             raise ValueError("rwrs scan needs rho")
@@ -267,15 +268,11 @@ def tail_prob_scan(
                 f"(alpha={alpha}, rho={rho}, d={dim}) is in the {regime!r} regime; "
                 "use exponents.p_exponent / strategy_lower_bound instead"
             )
-        def one_rwrs(i: int):
-            t = t_grid[i]
-            a_vals = _kernels.additive_functional_batch(
-                alpha, dim, RWRS_RATE, t, seed, replicas, tag=(_KEY_TAIL_RWRS, i)
-            )
-            k = int(np.sum(a_vals >= t**rho))
-            return tail_estimate(k, replicas)
 
-        estimates = _map_indexed(one_rwrs, len(t_grid), jobs)
+        def hits(i: int, t: float) -> int:
+            a_vals = _functional(alpha, dim, t, replicas, seed, (_KEY_TAIL_RWRS, i))
+            return int(np.sum(a_vals >= t**rho))
+
     elif model == "rcm":
         if delta is None or gamma is None:
             raise ValueError("rcm scan needs delta and gamma")
@@ -285,22 +282,17 @@ def tail_prob_scan(
                 f"(alpha={alpha}, delta={delta}, gamma={gamma}, d={dim}) decays "
                 "stretched-exponentially; use the exponent algebra instead"
             )
-        from .chemdist import round_half_away
-
         field = SceneryField(alpha=alpha, dim=dim, seed=seed)
 
-        def one_rcm(i: int):
-            t = t_grid[i]
-            target = np.zeros(1 + dim, dtype=np.int64)
-            target[0] = round_half_away(t**delta)
-            target[1] = round_half_away(t**gamma)
+        def hits(i: int, t: float) -> int:
             ends = _kernels.composed_endpoints_batch(field, t, seed, replicas, (_KEY_TAIL_RCM, i))
-            k = int(np.sum(np.all(ends == target, axis=1)))
-            return tail_estimate(k, replicas)
+            return int(np.sum(np.all(ends == target_site(t, delta, gamma, dim), axis=1)))
 
-        estimates = _map_indexed(one_rcm, len(t_grid), jobs)
     else:
         raise ValueError(f"unknown tail scan model {model!r}")
+    estimates = _map_indexed(
+        lambda i: tail_estimate(hits(i, t_grid[i]), replicas), len(t_grid), jobs
+    )
 
     floor_ok = all(
         est.ci_low > t ** (-floor_exponent) for est, t in zip(estimates, t_grid)
@@ -399,10 +391,7 @@ def _local_time_tail(dim: int, window: float) -> np.ndarray:
     Cached, at most 8 entries of ``_LT_TAIL_REPLICAS`` float64 each; callers
     must not modify the returned array.
     """
-    occ = _kernels.occupation_batch(
-        dim, RWRS_RATE, window, _LT_TAIL_SEED, _LT_TAIL_REPLICAS, _KEY_LOCAL_TIME_TAIL, _origin_indicator
-    )
-    return np.sort(occ)
+    return np.sort(_occupation(dim, window, _LT_TAIL_REPLICAS, _LT_TAIL_SEED, _KEY_LOCAL_TIME_TAIL))
 
 
 def _log_stay_prob(dim: int, window: float, amounts: np.ndarray) -> np.ndarray:
@@ -449,7 +438,7 @@ def strategy_lower_bound(
     if regime == "first":
         mu = exponents.optimal_mu(alpha, rho, dim)
     else:
-        mu = alpha * (rho - 1) / dim
+        mu = exponents.p_branches(alpha, rho, dim)[1]
     radius = max(1, int(np.ceil(t ** min(mu, 1.0) if regime == "first" else t**mu)))
     sites = box_sites(radius, dim)
     z = field.values(sites)
@@ -488,27 +477,14 @@ def strategy_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChenParams:
-    """Inputs of the non-asymptotic occupation tail bound."""
-
-    lam: float
-    a_value: float
-    b_value: float
-
-    def __post_init__(self):
-        if self.b_value <= 1:
-            raise ValueError("b_value must exceed 1")
-        if self.lam <= 0 or self.a_value <= 0:
-            raise ValueError("lambda and a_value must be positive")
-
-
-def chen_bound(params: ChenParams) -> float:
-    """2^(1/2) e^(1/(24(b-1))) (lambda e / 4)^(-b+1)."""
-    b = params.b_value
-    return float(
-        np.sqrt(2.0) * np.exp(1.0 / (24.0 * (b - 1.0))) * (params.lam * np.e / 4.0) ** (-b + 1.0)
-    )
+def chen_bound(lam: float, a_value: float, b_value: float) -> float:
+    """Non-asymptotic occupation tail bound 2^(1/2) e^(1/(24(b-1))) (lambda e / 4)^(-b+1)."""
+    if b_value <= 1:
+        raise ValueError("b_value must exceed 1")
+    if lam <= 0 or a_value <= 0:
+        raise ValueError("lambda and a_value must be positive")
+    b = b_value
+    return float(np.sqrt(2.0) * np.exp(1.0 / (24.0 * (b - 1.0))) * (lam * np.e / 4.0) ** (-b + 1.0))
 
 
 def local_time_samples(dim: int, t: float, replicas: int, seed: int, tag=None) -> np.ndarray:
@@ -519,9 +495,7 @@ def local_time_samples(dim: int, t: float, replicas: int, seed: int, tag=None) -
     """
     if tag is None:
         tag = (_KEY_LOCAL_TIME, _float_part(t))
-    return _kernels.occupation_batch(
-        dim, RWRS_RATE, t, seed, replicas, tag=tag, indicator=_origin_indicator
-    )
+    return _occupation(dim, t, replicas, seed, tag)
 
 
 @dataclass(frozen=True)
@@ -570,31 +544,24 @@ def chen_verify(
     """
     if b_value <= 1:
         raise ValueError("b_value must exceed 1")
+    if replicas < 2:
+        raise ValueError("replicas must be >= 2")
     a_replicas = min(replicas, 200_000)
-    base = _kernels.occupation_batch(
-        dim,
-        RWRS_RATE,
-        t / b_value,
-        seed,
-        a_replicas,
-        tag=(_KEY_CHEN_BASE, _float_part(b_value), _float_part(t)),
-        indicator=_origin_indicator,
-    )
-    a_value = float(base.mean() + 3 * base.std(ddof=1) / np.sqrt(a_replicas))
+    base_tag = (_KEY_CHEN_BASE, _float_part(b_value), _float_part(t))
+    base = local_time_samples(dim, t / b_value, a_replicas, seed, tag=base_tag)
+    a_value = float(base.mean() + standard_error(base, sigmas=3))
     if samples is None:
         samples = local_time_samples(dim, t, replicas, seed)
-    occ = samples
     rows = []
     for lam in _CHEN_LAMBDAS:
         thr = lam * a_value * b_value
-        k = int(np.sum(occ >= thr))
-        est = tail_estimate(k, occ.size)
+        est = tail_estimate(int(np.sum(samples >= thr)), samples.size)
         rows.append(
             ChenCheckRow(
                 lam=float(lam),
                 threshold=float(thr),
                 estimate=est,
-                bound=chen_bound(ChenParams(lam=float(lam), a_value=a_value, b_value=float(b_value))),
+                bound=chen_bound(float(lam), a_value, float(b_value)),
             )
         )
     return ChenReport(t=t, b_value=float(b_value), a_value=a_value, rows=tuple(rows))
@@ -631,23 +598,24 @@ def khasminskii_verify(
     """
     if not 1 <= m <= 4:
         raise ValueError("moment order m must be in 1..4")
+    if replicas < 2:
+        raise ValueError("replicas must be >= 2")
     if sites is None:
         sites = ((0,) * dim,)
     sites = [tuple(int(c) for c in s) for s in sites]
-    indicator = _site_set_indicator(sites)
     sup_base, sup_base_rel = -np.inf, 0.0
     lhs, lhs_rel = -np.inf, 0.0
     for i, x in enumerate(sites):
         key = (_KEY_KHASMINSKII, _float_part(t), m, i)
-        occ = _kernels.occupation_batch(dim, RWRS_RATE, t, seed, replicas, key, indicator, start=x)
+        occ = _occupation(dim, t, replicas, seed, key, sites, start=x)
         base = occ.mean()
         if base > sup_base:
             sup_base = base
-            sup_base_rel = occ.std(ddof=1) / np.sqrt(replicas) / base
+            sup_base_rel = standard_error(occ) / base
         mom = (occ**m).mean()
         if mom > lhs:
             lhs = mom
-            lhs_rel = (occ**m).std(ddof=1) / np.sqrt(replicas) / mom
+            lhs_rel = standard_error(occ**m) / mom
     slack = 3.0 * (lhs_rel + m * sup_base_rel)
     rhs = math.factorial(m) * sup_base**m * (1.0 + slack)
     return KhasminskiiReport(

@@ -50,6 +50,11 @@ def wilson_ci(successes, trials: int, z: float = Z95):
     return lo, hi
 
 
+def standard_error(x, sigmas: float = 1) -> float:
+    """``sigmas`` standard errors of a sample mean, rounded as (sigmas std(ddof=1)) / sqrt(size)."""
+    return float(sigmas * x.std(ddof=1) / np.sqrt(x.size))
+
+
 def tail_estimate(successes: int, trials: int) -> TailEstimate:
     lo, hi = wilson_ci(successes, trials)
     p = successes / trials

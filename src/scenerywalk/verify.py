@@ -94,7 +94,7 @@ def check_regime_continuity():
         worst = max(worst, abs(first - 1.0), abs(second - 1.0))
         n_points += 1
         # p: continuity of the clamped version at the polynomial threshold
-        if alpha <= (1.0 if dim == 1 else dim / 2):
+        if alpha <= exponents.finite_mean_threshold(dim):
             worst = max(worst, abs(exponents.p_value_clamped(alpha, rho_lo, dim)))
             n_points += 1
         # q: adjacent case formulas at every interior boundary
@@ -104,7 +104,7 @@ def check_regime_continuity():
             q_lower = exponents.q_formula(lower, alpha, x, dim)
             return abs(q_lower - exponents.q_formula(upper, alpha, x, dim))
 
-        heavy = alpha < (1.0 if dim == 1 else dim / 2)
+        heavy = alpha < exponents.finite_mean_threshold(dim)
         if heavy:
             worst = max(worst, gap("third", "first", th["third_lo"]))
         else:

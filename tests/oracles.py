@@ -186,6 +186,22 @@ def hk_envelope(t: float, x, constants: HKConstants, dim: int) -> tuple[float, f
     return float(lower), float(upper)
 
 
+#: pilot-calibrated envelope constants (a measurement artifact, not theory);
+#: ``tools/pilot_calibration.py`` prints the ``fit_hk_constants`` values to paste here
+HK_CONSTANTS = {
+    # sandwich envelope for p_t(0,x); c2/c4 pushed out 35% from the
+    # fitted Gaussian decay rate, prefactors cleared past every pilot CI
+    "c1": 0.310591,
+    "c2": 0.872018,
+    "c3": 0.507919,
+    "c4": 0.308328,
+    "provenance": (
+        "tools/pilot_calibration.py fit_hk_constants: d=1, t in {10,100}, "
+        "|x| <= 2t, 400k replicas/point, master seed 20240617, 22 estimable points"
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # exact path functionals: clock process, local times, level slicing
 # ---------------------------------------------------------------------------

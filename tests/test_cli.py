@@ -521,6 +521,12 @@ class TestOutputBytes:
         two = run_cli(_PINNED["scaling"] + ["--jobs", "2"])
         assert one == two and one[0] == 0
 
+    @pytest.mark.parametrize("task", ["chen", "khasminskii"])
+    def test_single_replica_verifier_refused(self, capsys, task):
+        args = ["simulate", task, "--alpha", "2", "--t-grid", "100", "--replicas", "1", *_SIM]
+        assert run_cli(args) == (2, "")
+        assert capsys.readouterr().err.endswith("error: replicas must be >= 2\n")
+
     @pytest.mark.parametrize(
         "task, t_grid, message",
         [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    HK_CONSTANTS,
     HKConstants,
     InsufficientHorizonError,
     WalkPath,
@@ -161,7 +162,7 @@ class TestHkEnvelope:
             HKConstants(1.0, 0.0, 1.0, 1.0)
 
     def test_sandwich_on_calibrated_constants(self):
-        hk = CALIBRATION["hk_constants"]
+        hk = HK_CONSTANTS
         consts = HKConstants(hk["c1"], hk["c2"], hk["c3"], hk["c4"])
         rng = philox(123456, 9)
         for t in (10.0, 100.0):

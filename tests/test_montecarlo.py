@@ -6,7 +6,6 @@ import pytest
 from scenerywalk import _kernels, exponents, montecarlo, verify
 from scenerywalk.calibration import CALIBRATION
 from scenerywalk.montecarlo import (
-    ChenParams,
     StretchedRegimeError,
     chen_bound,
     chen_verify,
@@ -148,23 +147,33 @@ class TestStrategyBound:
         assert np.isfinite(sb.log_probability)
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("an occupation batch was drawn")
+
+
 class TestChen:
     def test_hand_values(self):
-        assert chen_bound(ChenParams(4 / np.e, 1.0, 2.0)) == pytest.approx(1.4744, abs=2e-4)
-        assert chen_bound(ChenParams(4.0, 1.0, 11.0)) == pytest.approx(6.4e-5, abs=5e-6)
+        assert chen_bound(4 / np.e, 1.0, 2.0) == pytest.approx(1.4744, abs=2e-4)
+        assert chen_bound(4.0, 1.0, 11.0) == pytest.approx(6.4e-5, abs=5e-6)
 
     def test_large_lambda_limit(self):
-        assert chen_bound(ChenParams(1e9, 1.0, 3.0)) < 1e-15
+        assert chen_bound(1e9, 1.0, 3.0) < 1e-15
 
     def test_b_above_one_required(self):
         with pytest.raises(ValueError):
-            ChenParams(1.0, 1.0, 1.0)
+            chen_bound(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             chen_verify(1, 100.0, 1.0, 100, seed=0)
 
     def test_small_lambda_vacuous(self):
         # bound >= 1 whenever lambda <= 4/e
-        assert chen_bound(ChenParams(4 / np.e, 1.0, 5.0)) >= 1.0
+        assert chen_bound(4 / np.e, 1.0, 5.0) >= 1.0
+
+    def test_single_replica_refused_before_any_draw(self, monkeypatch):
+        # one replica has no standard error: the a(t/b) margin would be nan
+        monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
+        with pytest.raises(ValueError, match="replicas must be >= 2"):
+            chen_verify(1, 100.0, 3.0, 1, seed=0)
 
     def test_verify_no_violations_small(self):
         rep = chen_verify(1, 100.0, 5.0, 100_000, seed=13)
@@ -199,6 +208,12 @@ class TestKhasminskii:
     def test_moment_order_validation(self):
         with pytest.raises(ValueError):
             khasminskii_verify(1, 10.0, 5, 100, seed=0)
+
+    def test_single_replica_refused_before_any_draw(self, monkeypatch):
+        # one replica has no standard error: the slack, and so rhs, would be nan
+        monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
+        with pytest.raises(ValueError, match="replicas must be >= 2"):
+            khasminskii_verify(1, 100.0, 2, 1, seed=0)
 
 
 class TestLevelOccupation:

@@ -68,6 +68,13 @@ class TestSlopes:
             stats.ols_slope([2.0, 2.0], [1.0, 3.0])
 
 
+class TestStandardError:
+    def test_multiple_applied_before_division(self):
+        x = philox(5, 1).exponential(size=1001)
+        assert stats.standard_error(x) == x.std(ddof=1) / np.sqrt(1001)
+        assert stats.standard_error(x, sigmas=3) == 3 * x.std(ddof=1) / np.sqrt(1001)
+
+
 class TestKsStatistic:
     def test_exact_uniform_grid(self):
         # empirical CDF of {0.5/n ...} vs U(0,1): distance is 0.5/n

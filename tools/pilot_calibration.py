@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the pilot-calibrated constants in scenerywalk/calibration.py.
+"""Regenerate the pilot-calibrated constants.
 
 Run from the repository root:
 
     python tools/pilot_calibration.py
 
-Prints a calibration block to paste into ``src/scenerywalk/calibration.py``.
-Everything is seeded, so reruns reproduce the same numbers.
+Prints the ``strategy_slack`` and ``vsrw_fixture`` blocks to paste into
+``src/scenerywalk/calibration.py``, and the ``fit_hk_constants`` values to
+paste into ``HK_CONSTANTS`` in ``tests/oracles.py``, next to the test
+oracle ``hk_envelope`` they feed.  Everything is seeded, so reruns
+reproduce the same numbers.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def choose_vsrw_fixture() -> dict:
 
 
 def main() -> None:
-    print("hk_constants =", fit_hk_constants())
+    print("tests/oracles.py HK_CONSTANTS =", fit_hk_constants())
     print("strategy_slack =", measure_strategy_slack())
     print("vsrw_fixture =", choose_vsrw_fixture())
 
