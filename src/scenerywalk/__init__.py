@@ -10,14 +10,12 @@ scale.
 
 __version__ = "0.2.0"
 
-from .scenery import SceneryField, ConstantField, TableField, LevelSet
+from .scenery import SceneryField, ConstantField
 from .exponents import ExponentResult
 
 __all__ = [
     "SceneryField",
     "ConstantField",
-    "TableField",
-    "LevelSet",
     "ExponentResult",
     "__version__",
 ]

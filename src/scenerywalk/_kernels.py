@@ -42,6 +42,13 @@ from .streams import chunk_ranges, philox
 #: cap on rows*jumps elements held per sub-batch (keeps peak memory bounded)
 _ELEMENT_BUDGET = 2_500_000
 
+#: jump cells of one sub-batch above which :func:`skeletons` refuses to run;
+#: the 16-row floor lets a sub-batch outgrow ``_ELEMENT_BUDGET`` past t of
+#: about 1.5e5.  Measured peaks of ``additive_functional_batch`` are about
+#: 14 bytes per cell in d = 1 and 80 to 100 in d = 2 and 3, so the cap holds
+#: a sub-batch near 0.14 GB in d = 1 and 1 GB in d = 3
+_CELL_CAP = 4 * _ELEMENT_BUDGET
+
 #: for each byte value, the walk's position after each of its eight steps
 #: (bits most significant first, bit 1 meaning +1), as eight int8 packed in
 #: one int64 word; the last of them is the byte's step sum
@@ -118,10 +125,18 @@ def skeletons(dim: int, rate: float, t: float, count: int, rng: np.random.Genera
     """Yield ``(rows, pos, live)`` for ``count`` skeletons drawn from one stream.
 
     The replicas come in sub-batches of at most ``_ELEMENT_BUDGET`` jump
-    cells, which bounds peak memory; ``rows`` is the slice of replicas that
-    ``pos, live`` (see :func:`srw_paths_batch`) cover.
+    cells, but at least 16 rows, which bounds peak memory; ``rows`` is the
+    slice of replicas that ``pos, live`` (see :func:`srw_paths_batch`) cover.
+    A sub-batch over ``_CELL_CAP`` cells raises
+    :class:`~scenerywalk.scenery.JumpBudgetError` before the first draw.
     """
-    size = max(16, _ELEMENT_BUDGET // _jump_capacity(rate, t))
+    capacity = _jump_capacity(rate, t)
+    size = max(16, _ELEMENT_BUDGET // capacity)
+    if min(count, size) * capacity > _CELL_CAP:
+        raise scenery.JumpBudgetError(
+            f"walk sub-batch of {min(count, size)} rows x {capacity} jumps (rate {rate:g}, "
+            f"t {t:g}) exceeds the cap of {_CELL_CAP} cells"
+        )
     for lo, hi in chunk_ranges(count, size):
         pos, live = srw_paths_batch(dim, rate, t, hi - lo, rng)
         yield slice(lo, hi), pos, live

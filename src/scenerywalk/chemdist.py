@@ -214,9 +214,6 @@ def detour_distance(field, x, y) -> float:
     margin = dx1 // 2 + 1
     lo = np.minimum(x2, y2) - margin
     hi = np.maximum(x2, y2) + margin
-    n = int(np.prod(hi - lo + 1))
-    if n > SITE_BUDGET:
-        raise SiteBudgetError(f"detour search over {n} sites exceeds budget {SITE_BUDGET}")
     w = grid_sites(zip(lo, hi))
     z = field.values(w)
     excess = np.abs(w - x2).sum(axis=-1) + np.abs(w - y2).sum(axis=-1)
@@ -253,28 +250,24 @@ def chemdist_scaling(
     gamma: float,
     t_grid: Sequence[float],
     seeds: Sequence[int],
-    field_factory: Callable[[int], object] | None = None,
 ) -> ScalingFit:
     """Fit the growth exponent of d(0, t^delta e_1 + t^gamma e) in t.
 
     Targets are the lattice points of :func:`target_site`.  Requires delta > 1/2 and a
     geometric grid with at least 5 points; returns the pooled log-log
-    regression over all (t, seed) distances.  ``field_factory`` replaces the
-    Pareto field constructor for degenerate-law oracles.
+    regression over all (t, seed) distances.
     """
     if delta <= 0.5:
         raise ValueError("chemdist_scaling requires delta > 1/2")
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 5:
         raise ValueError("t_grid must contain at least 5 points")
-    if field_factory is None:
-        field_factory = lambda seed: SceneryField(alpha=alpha, dim=dim, seed=seed)
     rows = []
     origin = np.zeros(1 + dim, dtype=np.int64)
     for t in t_grid:
         target = target_site(t, delta, gamma, dim)
         for seed in seeds:
-            dist = detour_distance(field_factory(int(seed)), origin, target)
+            dist = detour_distance(SceneryField(alpha=alpha, dim=dim, seed=int(seed)), origin, target)
             rows.append((t, int(seed), dist))
     fit = loglog_slope([r[0] for r in rows], [r[2] for r in rows])
     return ScalingFit(slope=fit.slope, stderr=fit.stderr, rows=tuple(rows))

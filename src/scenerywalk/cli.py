@@ -7,8 +7,9 @@ JSON file (--config): flags win over file values, and file values over the
 defaults; the master seed falls back to the ``SCENERYWALK_SEED`` environment
 variable.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refused by
-design (stretched-exponential Monte Carlo request).
+Exit codes: 0 success, 1 verification failure, 2 usage error or budget
+refusal (site or jump budget), 3 refused by design (stretched-exponential
+Monte Carlo request).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__, chemdist, exponents, montecarlo, reporting, verify
 from .montecarlo import StretchedRegimeError
+from .scenery import JumpBudgetError, SceneryField, SiteBudgetError
 
 #: flag name -> add_argument keywords; a default is applied only after the
 #: config file is read, so that it cannot override a file value
@@ -147,8 +149,6 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
         parser.error(f"config fields not read by {args.command}: {sorted(unknown)}")
     if "field" in cfg:
         # scenery description record {alpha, dim, seed, law}
-        from .scenery import SceneryField
-
         try:
             fld = SceneryField.from_config(cfg.pop("field"))
         except (ValueError, KeyError, TypeError) as exc:
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     except StretchedRegimeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileExistsError) as exc:
+    except (ValueError, FileExistsError, SiteBudgetError, JumpBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

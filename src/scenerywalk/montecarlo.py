@@ -36,7 +36,7 @@ from scipy.special import ive
 
 from . import _kernels, exponents
 from .chemdist import target_site
-from .scenery import SceneryField, box_sites
+from .scenery import ConstantField, SceneryField, box_sites
 from .stats import (
     SlopeFit,
     TailEstimate,
@@ -95,9 +95,7 @@ def _occupation(dim: int, t: float, replicas: int, seed: int, tag, sites=None, s
 
 def _functional(alpha: float, dim: int, t: float, replicas: int, seed: int, tag, law_override=None):
     """A_t = int_0^t z(S_u) du of the rate-1 walk, fresh Pareto scenery per replica or z == law_override."""
-    weight = None
-    if law_override is not None:
-        weight = lambda sites: np.full(sites.shape[:-1], float(law_override))
+    weight = None if law_override is None else ConstantField(law_override, dim).values
     return _kernels.additive_functional_batch(alpha, dim, RWRS_RATE, t, seed, replicas, tag, weight)
 
 
@@ -603,6 +601,8 @@ def khasminskii_verify(
     if sites is None:
         sites = ((0,) * dim,)
     sites = [tuple(int(c) for c in s) for s in sites]
+    if not sites:
+        raise ValueError("sites must contain at least one site")
     sup_base, sup_base_rel = -np.inf, 0.0
     lhs, lhs_rel = -np.inf, 0.0
     for i, x in enumerate(sites):

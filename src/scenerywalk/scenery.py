@@ -23,7 +23,8 @@ Hash scheme (needed to reproduce fields bit-exactly elsewhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -36,7 +37,7 @@ _SM_MUL2 = np.uint64(0x94D049BB133111EB)
 #: Reference marginal law implemented by :class:`SceneryField`.
 PARETO_EXACT = "ParetoExact"
 
-#: Enumeration guard above which :func:`level_set` refuses to materialise a box.
+#: Enumeration guard above which :func:`grid_sites` refuses to materialise a box.
 SITE_BUDGET = 1 << 24
 
 #: Expected-jump guard above which the layered VSRW simulators refuse to run.
@@ -44,11 +45,16 @@ JUMP_BUDGET = 1 << 32
 
 
 class SiteBudgetError(RuntimeError):
-    """Raised when a level-set enumeration would exceed :data:`SITE_BUDGET`."""
+    """Raised when a site enumeration would exceed :data:`SITE_BUDGET`."""
 
 
 class JumpBudgetError(RuntimeError):
-    """Raised when a VSRW run is expected to exceed :data:`JUMP_BUDGET` jumps."""
+    """Raised when a walk kernel's cost exceeds its budget.
+
+    The layered VSRW simulators refuse runs expected to exceed
+    :data:`JUMP_BUDGET` jumps, and the skeleton kernels refuse sub-batches
+    with more jump cells than their memory cap.
+    """
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -120,14 +126,6 @@ class SceneryField:
             raise ValueError(f"expected sites with last axis {self.dim}, got {sites.shape}")
         return pareto_from_uniform(site_uniforms(np.uint64(self.seed), sites), self.alpha)
 
-    def value_at(self, site) -> float:
-        """Value at a single site (tuple or length-dim sequence)."""
-        return float(self.values(np.asarray(site, dtype=np.int64).reshape(1, self.dim))[0])
-
-    def to_config(self) -> dict:
-        """Small structured record used by the CLI config."""
-        return {"alpha": self.alpha, "dim": self.dim, "seed": int(self.seed), "law": self.law}
-
     @classmethod
     def from_config(cls, record: Mapping) -> "SceneryField":
         extra = set(record) - {"alpha", "dim", "seed", "law"}
@@ -149,61 +147,26 @@ class ConstantField:
     dim: int
 
     def values(self, sites) -> np.ndarray:
-        sites = np.asarray(sites, dtype=np.int64)
-        return np.full(sites.shape[:-1], float(self.value))
-
-    def value_at(self, site) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
-class TableField:
-    """Scenery backed by an explicit site -> value table (default elsewhere).
-
-    Test double for enumeration examples; sites are coordinate tuples.
-    """
-
-    table: Mapping[tuple, float]
-    dim: int
-    default: float = 1.0
-
-    def values(self, sites) -> np.ndarray:
-        sites = np.asarray(sites, dtype=np.int64)
-        flat = sites.reshape(-1, sites.shape[-1])
-        out = np.array([self.table.get(tuple(int(c) for c in s), self.default) for s in flat])
-        return out.reshape(sites.shape[:-1])
-
-    def value_at(self, site) -> float:
-        return float(self.table.get(tuple(int(c) for c in np.atleast_1d(site)), self.default))
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """Sites in a centred box whose scenery value meets a threshold."""
-
-    threshold: float
-    box_radius: int
-    sites: frozenset = field(default_factory=frozenset)
-
-    def __contains__(self, site) -> bool:
-        return tuple(site) in self.sites
-
-    def __len__(self) -> int:
-        return len(self.sites)
+        return np.full(np.shape(sites)[:-1], float(self.value))
 
 
 def box_sites(radius: int, dim: int) -> np.ndarray:
     """All lattice sites with sup-norm <= radius, lexicographically ordered."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    n = (2 * radius + 1) ** dim
-    if n > SITE_BUDGET:
-        raise SiteBudgetError(f"box with {n} sites exceeds budget {SITE_BUDGET}")
     return grid_sites([(-radius, radius)] * dim)
 
 
 def grid_sites(ranges) -> np.ndarray:
-    """Sites of a product of inclusive (lo, hi) ranges, lexicographically ordered."""
+    """Sites of a product of inclusive (lo, hi) ranges, lexicographically ordered.
+
+    Refuses a product of more than :data:`SITE_BUDGET` sites with
+    :class:`SiteBudgetError` before allocating anything.
+    """
+    ranges = [(int(lo), int(hi)) for lo, hi in ranges]
+    n = math.prod(hi - lo + 1 for lo, hi in ranges)
+    if n > SITE_BUDGET:
+        raise SiteBudgetError(f"box with {n} sites exceeds budget {SITE_BUDGET}")
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
@@ -235,17 +198,3 @@ def exceedance_prob(alpha: float, dim: int, radius: int, threshold: float) -> fl
     n_sites = (2 * radius + 1) ** dim
     # expm1/log1p keep precision when s^(-alpha) is tiny
     return float(-np.expm1(n_sites * np.log1p(-threshold ** (-alpha))))
-
-
-def level_set(field, box_radius: int, threshold: float) -> LevelSet:
-    """Exact enumeration of {x : z(x) >= threshold, |x|_inf <= box_radius}."""
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    sites = box_sites(box_radius, field.dim)
-    vals = field.values(sites)
-    keep = sites[vals >= threshold]
-    return LevelSet(
-        threshold=float(threshold),
-        box_radius=int(box_radius),
-        sites=frozenset(tuple(int(c) for c in s) for s in keep),
-    )

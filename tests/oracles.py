@@ -10,13 +10,15 @@ the reference the kernels' laws are checked against.
 Rates are explicit parameters: the scenery walk has total rate 1, while the
 time-change representation of the layered walk needs component walks with
 per-edge rate 1 (total rate 2 vertically, 2d transversally).
+
+``TableField`` is the explicit-table scenery of the hand-computed examples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -76,6 +78,24 @@ class WalkPath:
 
 
 @dataclass(frozen=True)
+class TableField:
+    """Scenery backed by an explicit site -> value table (default elsewhere).
+
+    Test double for enumeration examples; sites are coordinate tuples.
+    """
+
+    table: Mapping[tuple, float]
+    dim: int
+    default: float = 1.0
+
+    def values(self, sites) -> np.ndarray:
+        sites = np.asarray(sites, dtype=np.int64)
+        flat = sites.reshape(-1, sites.shape[-1])
+        out = np.array([self.table.get(tuple(int(c) for c in s), self.default) for s in flat])
+        return out.reshape(sites.shape[:-1])
+
+
+@dataclass(frozen=True)
 class HKConstants:
     """Envelope constants c1..c4; fitted artifacts, not universal values."""
 
@@ -131,7 +151,7 @@ def simulate_vsrw(field, horizon: float, rng: np.random.Generator) -> WalkPath:
     t = 0.0
     times, sites = [], []
     while True:
-        z = field.value_at(pos[1:])
+        z = float(field.values(pos[1:]))
         rate = 2.0 * z + 2.0 * d
         t += rng.exponential(1.0 / rate)
         if t > horizon:

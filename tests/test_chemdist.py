@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import TableField
 from scenerywalk import chemdist
 from scenerywalk.chemdist import (
     ChemDistance,
@@ -15,7 +16,7 @@ from scenerywalk.chemdist import (
     round_half_away,
     sufficient_box,
 )
-from scenerywalk.scenery import ConstantField, SceneryField, TableField
+from scenerywalk.scenery import ConstantField, SceneryField, SiteBudgetError
 
 
 class TestEdgeWeight:
@@ -112,6 +113,17 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError):
             brute_force_distance(spec, (0, 0), (5, 5))
 
+    @pytest.mark.parametrize(
+        "dim, target",
+        # 4e9 + 3 transverse sites in d = 1; in d = 3, 2^22 per axis and 2^66
+        # in all, a count that wraps to 0 in int64 arithmetic
+        [(1, (4 * 10**9, 0)), (3, (2, 2**22 - 5, 2**22 - 5, 2**22 - 5))],
+        ids=["wide", "int64-wrap"],
+    )
+    def test_detour_site_budget(self, dim, target):
+        with pytest.raises(SiteBudgetError):
+            detour_distance(ConstantField(1.0, dim), (0,) * (1 + dim), target)
+
 
 class TestDijkstraAll:
     def test_matches_pairwise(self):
@@ -137,9 +149,6 @@ class CountingField:
         self.values_calls += 1
         return self.field.values(sites)
 
-    def value_at(self, site):
-        return self.field.value_at(site)
-
 
 class TestVerticalWeightTable:
     @pytest.mark.parametrize(
@@ -158,7 +167,7 @@ class TestVerticalWeightTable:
         edges = 0
         for a in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
             for b in chemdist._neighbours(a, box):
-                expected = edge_weight(field.value_at(a[1:])) if a[0] != b[0] else 1.0
+                expected = edge_weight(field.values(a[1:])) if a[0] != b[0] else 1.0
                 assert spec.weight(a, b) == expected
                 edges += 1
         assert edges > 0
@@ -197,8 +206,14 @@ class TestMetricAxioms:
                     assert d[a, c] <= d[a, b] + d[b, c] + 1e-12
 
 
+@pytest.fixture
+def unit_field(monkeypatch):
+    """Make chemdist_scaling build the degenerate field z == 1 for every seed."""
+    monkeypatch.setattr(chemdist, "SceneryField", lambda alpha, dim, seed: ConstantField(1.0, dim))
+
+
 class TestScaling:
-    def test_unit_field_balanced_slope_exact(self):
+    def test_unit_field_balanced_slope_exact(self, unit_field):
         # gamma = delta = 1 on z == 1: distance is exactly 2t, slope exactly 1
         fit = chemdist_scaling(
             alpha=1.0,
@@ -207,11 +222,10 @@ class TestScaling:
             gamma=1.0,
             t_grid=[100, 300, 1000, 3000, 10_000],
             seeds=[0],
-            field_factory=lambda seed: ConstantField(1.0, 1),
         )
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
 
-    def test_unit_field_gamma_zero(self):
+    def test_unit_field_gamma_zero(self, unit_field):
         fit = chemdist_scaling(
             alpha=1.0,
             dim=1,
@@ -219,7 +233,6 @@ class TestScaling:
             gamma=0.0,
             t_grid=[100, 300, 1000, 3000, 10_000],
             seeds=[0],
-            field_factory=lambda seed: ConstantField(1.0, 1),
         )
         assert fit.slope == pytest.approx(1.0, abs=0.02)
 

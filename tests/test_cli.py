@@ -363,6 +363,22 @@ class TestChemdistCommand:
         assert {row[1] for row in rows} == {"5", "6", "7"}
 
 
+class TestBudgetRefusal:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["chemdist", "--alpha", "1", "--dim", "1", "--delta", "1"]
+            + ["--t-grid", "1e10:1e12:5", "--seeds", "1"],
+            ["simulate", "lln", "--alpha", "2", "--dim", "1", "--t-grid", "1e12", "--replicas", "2"],
+        ],
+        ids=["chemdist-sites", "lln-jumps"],
+    )
+    def test_exit_2_with_error_line(self, capsys, args):
+        assert run_cli(args) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds" in err and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_fast_suites_pass(self):
         code, out = run_cli(["verify", "--suite", "continuity,determinism"])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import WalkPath, simulate_srw
-from scenerywalk.scenery import ConstantField, SceneryField, TableField
+from oracles import TableField, WalkPath, simulate_srw
+from scenerywalk.scenery import ConstantField, SceneryField
 from scenerywalk.streams import philox
 
 
@@ -57,7 +57,7 @@ class TestLocalTimes:
             rec = oracles.local_times(path, t, field=fields[dim])
             assert rec.total_local_time() == pytest.approx(t, rel=1e-9)
             recon = math.fsum(
-                fields[dim].value_at(site) * ell for site, ell in rec.local_times.items()
+                fields[dim].values(site) * ell for site, ell in rec.local_times.items()
             )
             assert rec.a_value == pytest.approx(recon, rel=1e-9)
 
@@ -67,7 +67,7 @@ class TestLocalTimes:
             path = simulate_srw(1, 1.0, 25.0, philox(4, k))
             rec = oracles.local_times(path, 25.0, field=f)
             recon = math.fsum(
-                f.value_at(site) * ell for site, ell in rec.local_times.items()
+                f.values(site) * ell for site, ell in rec.local_times.items()
             )
             assert rec.a_value == pytest.approx(recon, rel=1e-9)
 
@@ -129,7 +129,7 @@ class TestLevelOccupations:
             path = simulate_srw(1, 1.0, 14.0, philox(9, k))
             t = 14.0
             rec = oracles.local_times(path, t, field=f)
-            zmax = max(f.value_at(s) for s in rec.local_times)
+            zmax = max(f.values(s) for s in rec.local_times)
             K = int(np.ceil(np.log(zmax) / (eps * np.log(t)))) + 1
             occ = oracles.level_occupations(f, path, t, eps, K)
             k_arr = np.arange(K + 1)

@@ -225,6 +225,21 @@ class TestSkeletonD1:
         assert fast_rng.random() == slow_rng.random()
 
 
+class TestSkeletonBudget:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_refuses_before_any_draw(self, dim):
+        # two rows of 1e12 jumps would take terabytes of positions
+        rng, ref = philox(56, dim), philox(56, dim)
+        with pytest.raises(JumpBudgetError, match="cells"):
+            next(_kernels.skeletons(dim, 1.0, 1e12, 2, rng))
+        assert rng.random() == ref.random()
+
+    def test_admits_largest_suite_sub_batch(self):
+        # ks-scaling at t = 1e5 draws sub-batches of 24 rows x 103825 jump cells
+        rows, pos, live = next(_kernels.skeletons(1, 1.0, 1e5, 10_000, philox(57, 0)))
+        assert rows == slice(0, 24)
+
+
 class TestLocalTimesD1:
     def check(self, pos, live, seed):
         fast_rng, slow_rng = philox(seed, 1), philox(seed, 1)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import TableField
 from scenerywalk import _kernels, exponents, montecarlo, verify
-from scenerywalk.calibration import CALIBRATION
 from scenerywalk.montecarlo import (
     StretchedRegimeError,
     chen_bound,
@@ -17,7 +17,7 @@ from scenerywalk.montecarlo import (
     strategy_lower_bound,
     tail_prob_scan,
 )
-from scenerywalk.scenery import ConstantField, SceneryField, TableField
+from scenerywalk.scenery import ConstantField, SceneryField
 from scenerywalk.streams import key_word, philox
 
 
@@ -112,6 +112,25 @@ class TestTailScan:
             tail_prob_scan("brownian", 1.0, 1, [10.0], 10, seed=0, rho=1.0)
 
 
+#: pilot-calibrated slack of the strategy bound (a measurement artifact, not
+#: theory); ``tools/pilot_calibration.py`` prints the ``measure_strategy_slack``
+#: values to paste here
+STRATEGY_SLACK = {
+    # measured exponent distribution of the certified single-site bound:
+    # median 0.5824, 90th percentile 0.772 against p = 0.5; epsilon_tol
+    # covers the q90 with margin.  The bound is single-site and its stay
+    # factor is Wilson-certified, so it cannot reach the ideal p + 0.15
+    # at t = 1e3 (the limiting environments have no affordable high site).
+    "epsilon_tol": 0.30,
+    "quantile": 0.9,
+    "pilot": {"p": 0.5, "median_exponent": 0.5824, "q90_exponent": 0.772},
+    "provenance": (
+        "tools/pilot_calibration.py measure_strategy_slack: d=1, alpha=1, "
+        "rho=1.5, t=1e3, field seeds 0..49, local-time tail 2e5 replicas"
+    ),
+}
+
+
 class TestStrategyBound:
     def test_second_regime_stay_factor_exact(self):
         # second regime: the walk holds the peak through the whole window,
@@ -129,7 +148,7 @@ class TestStrategyBound:
         assert sb.log_probability == pytest.approx(sb.travel + sb.stay + sb.ret)
 
     def test_pilot_quantile_slack(self):
-        slack = CALIBRATION["strategy_slack"]
+        slack = STRATEGY_SLACK
         p = exponents.p_exponent(1.0, 1.5, 1).value
         exps = np.array(
             [strategy_lower_bound(1.0, 1, 1.5, 1000.0, field_seed=s).exponent for s in range(50)]
@@ -214,6 +233,13 @@ class TestKhasminskii:
         monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
         with pytest.raises(ValueError, match="replicas must be >= 2"):
             khasminskii_verify(1, 100.0, 2, 1, seed=0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_empty_site_set_refused_before_any_draw(self, monkeypatch, m):
+        # with no site, lhs = -inf can never exceed rhs, so nothing could fail
+        monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
+        with pytest.raises(ValueError, match="at least one site"):
+            khasminskii_verify(1, 30.0, m, 100, seed=1, sites=[])
 
 
 class TestLevelOccupation:

@@ -5,11 +5,13 @@ Run from the repository root:
 
     python tools/pilot_calibration.py
 
-Prints the ``strategy_slack`` and ``vsrw_fixture`` blocks to paste into
-``src/scenerywalk/calibration.py``, and the ``fit_hk_constants`` values to
+Prints the ``vsrw_fixture`` block to paste into
+``src/scenerywalk/calibration.py``, the ``fit_hk_constants`` values to
 paste into ``HK_CONSTANTS`` in ``tests/oracles.py``, next to the test
-oracle ``hk_envelope`` they feed.  Everything is seeded, so reruns
-reproduce the same numbers.
+oracle ``hk_envelope`` they feed, and the ``measure_strategy_slack``
+values to paste into ``STRATEGY_SLACK`` in ``tests/test_montecarlo.py``,
+next to ``test_pilot_quantile_slack``, the one test that reads them.
+Everything is seeded, so reruns reproduce the same numbers.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def choose_vsrw_fixture() -> dict:
 
 def main() -> None:
     print("tests/oracles.py HK_CONSTANTS =", fit_hk_constants())
-    print("strategy_slack =", measure_strategy_slack())
+    print("tests/test_montecarlo.py STRATEGY_SLACK pilot =", measure_strategy_slack())
     print("vsrw_fixture =", choose_vsrw_fixture())
 
 
