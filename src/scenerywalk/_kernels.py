@@ -290,71 +290,110 @@ def srw_endpoints_batch(
     return out
 
 
-def check_vsrw_budget(field, t: float, count: int) -> None:
+def _vsrw_radius(dim: int, t: float) -> int:
+    """Sup-norm radius that the VSRW's transverse walk leaves by time t with negligible probability."""
+    return int(np.ceil(6.0 * np.sqrt(2.0 * dim * t)))
+
+
+def _ball(field, radius: int) -> np.ndarray:
+    """z on the sup-norm ball of given radius, flat in the lexicographic site order."""
+    return field.values(scenery.box_sites(radius, field.dim))
+
+
+def check_vsrw_budget(field, t: float, count: int) -> tuple[int, np.ndarray]:
     """Refuse a layered VSRW run whose expected jump count exceeds ``JUMP_BUDGET``.
 
     The walk jumps at rate 2 z(x2) + 2d, and its transverse part (total rate
     2d) stays in the sup-norm ball of radius ceil(6 sqrt(2d t)) but with
     negligible probability, so count (2 z_max + 2d) t, with z_max the largest
     z on that ball, estimates the jumps of ``count`` walks up to time t.
+    The field is evaluated once on the ball; returns ``(radius, z)`` with z
+    flat in the lexicographic order of the ball's sites.
     """
     d = field.dim
-    radius = int(np.ceil(6.0 * np.sqrt(2.0 * d * t)))
-    z_max, _ = scenery.box_max(field, radius)
+    radius = _vsrw_radius(d, t)
+    z = _ball(field, radius)
+    z_max = float(z.max())
     expected = count * (2.0 * z_max + 2.0 * d) * t
     if expected > scenery.JUMP_BUDGET:
         raise scenery.JumpBudgetError(
             f"VSRW expects about {expected:.3g} jumps (count {count}, t {t:g}, "
             f"max z {z_max:.6g} within radius {radius}), budget {scenery.JUMP_BUDGET}"
         )
+    return radius, z
+
+
+def _recentre(cells: np.ndarray, radius: int, new_radius: int, dim: int) -> np.ndarray:
+    """Flat ball indices of the same sites in the ball of ``new_radius >= radius``."""
+    coords = np.unravel_index(cells, (2 * radius + 1,) * dim)
+    shift = new_radius - radius
+    return np.ravel_multi_index(tuple(c + shift for c in coords), (2 * new_radius + 1,) * dim)
 
 
 def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag) -> np.ndarray:
     """Endpoints X_t of the layered VSRW for ``count`` replicas (fixed field).
 
     Synchronous event-driven stepping: all active replicas advance one jump
-    per iteration with site-dependent exponential clocks; rows are dropped
-    as they pass the horizon.  Each row carries its z(x2) and exit rate, and
-    the field is evaluated again only for the rows that made a transverse
-    jump, since a vertical jump leaves x2 unchanged.  :func:`check_vsrw_budget`
-    refuses the run before the first draw when its expected cost is too large.
+    per iteration with site-dependent exponential clocks (one exponential,
+    then one uniform per active row); rows are dropped as they pass the
+    horizon.  The field is evaluated once, on the ball of
+    :func:`check_vsrw_budget`, which also refuses the run before the first
+    draw when its expected cost is too large.  A row carries x1 and the flat
+    index of x2 in that ball, and z, 2z and the exit rate 2z + 2d are
+    gathered from tables over the ball.  A row about to leave the ball first
+    regrows it to radius 2 r + 1 and re-indexes every row, which changes no
+    value, since field values are pure functions of the site.
     """
-    check_vsrw_budget(field, t, count)
+    radius, z_ball = check_vsrw_budget(field, t, count)
     d = field.dim
+    side = 2 * radius + 1
+    z2_ball, rate_ball = 2.0 * z_ball, 2.0 * z_ball + 2.0 * d
     out = np.empty((count, 1 + d), dtype=np.int64)
     for c, (lo, hi) in enumerate(chunk_ranges(count, 16384)):
         rng = philox(master_seed, *_key(tag), c)
         n = hi - lo
-        pos = np.zeros((n, 1 + d), dtype=np.int64)
+        x1 = np.zeros(n, dtype=np.int64)
+        cell = np.full(n, z_ball.size // 2)  # the origin, centre of the ball
         clock = np.zeros(n)
         idx = np.arange(n)
-        final = np.empty((n, 1 + d), dtype=np.int64)
-        z = field.values(pos[:, 1:])
-        rate = 2.0 * z + 2.0 * d
-        while idx.size:
+        final_x1 = np.empty(n, dtype=np.int64)
+        final_cell = np.zeros(n, dtype=np.intp)
+        while True:
+            rate = rate_ball.take(cell)
             clock += rng.exponential(1.0, size=idx.size) / rate
             done = clock > t
             if np.any(done):
-                final[idx[done]] = pos[done]
+                final_x1[idx[done]] = x1[done]
+                final_cell[idx[done]] = cell[done]
                 keep = ~done
-                pos, clock, idx = pos[keep], clock[keep], idx[keep]
-                z, rate = z[keep], rate[keep]
+                x1, cell, clock, idx = x1[keep], cell[keep], clock[keep], idx[keep]
                 if not idx.size:
                     break
+                rate = rate_ball.take(cell)
             u = rng.random(idx.size) * rate
-            up = u < z
-            transverse = u >= 2.0 * z
+            z = z_ball.take(cell)
+            transverse = u >= z2_ball.take(cell)
             # +1 on u < z, -1 on z <= u < 2z, 0 on a transverse jump
-            pos[:, 0] += 2 * up - 1 + transverse
+            x1 += 2 * (u < z) - 1 + transverse
             trans = np.flatnonzero(transverse)
-            if trans.size:
-                v = u[trans] - 2.0 * z[trans]
-                k = np.minimum((v // 2.0).astype(np.int64), d - 1)
-                sign = np.where(v - 2.0 * k < 1.0, 1, -1)
-                pos[trans, 1 + k] += sign
-                z[trans] = field.values(pos[trans, 1:])
-                rate[trans] = 2.0 * z[trans] + 2.0 * d
-        out[lo:hi] = final
+            if not trans.size:
+                continue
+            v = u[trans] - 2.0 * z[trans]
+            k = 0 if d == 1 else np.minimum((v // 2.0).astype(np.intp), d - 1)
+            sign = np.where(v - 2.0 * k < 1.0, 1, -1)
+            while True:
+                stride = side ** (d - 1 - k)
+                moved = cell[trans] // stride % side + sign
+                if moved.min() >= 0 and moved.max() < side:
+                    break
+                new_radius = 2 * radius + 1
+                cell, final_cell = (_recentre(a, radius, new_radius, d) for a in (cell, final_cell))
+                radius, side = new_radius, 2 * new_radius + 1
+                z_ball = _ball(field, radius)
+                z2_ball, rate_ball = 2.0 * z_ball, 2.0 * z_ball + 2.0 * d
+            cell[trans] += sign * stride
+        out[lo:hi, 0] = final_x1
+        out[lo:hi, 1:] = np.stack(np.unravel_index(final_cell, (side,) * d), axis=-1) - radius
     return out
 
 

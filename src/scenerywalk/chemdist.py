@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .scenery import SITE_BUDGET, SceneryField, SiteBudgetError, grid_sites
+from .scenery import SceneryField, _count_sites, grid_sites
 from .stats import loglog_slope
 
 
@@ -163,8 +163,7 @@ def chemical_distance(spec: LayeredGraphSpec, x, y) -> ChemDistance:
     x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
     if not (spec.contains(x) and spec.contains(y)):
         raise ValueError("x and y must lie inside the search box")
-    if spec.n_sites() > SITE_BUDGET:
-        raise SiteBudgetError(f"box with {spec.n_sites()} sites exceeds budget {SITE_BUDGET}")
+    _count_sites(spec.box)
     value = dijkstra_distance(spec.box, spec.weight, x, y)
     return ChemDistance(value=value, box_sufficient=_box_contains_box(spec.box, sufficient_box(x, y)))
 
@@ -193,13 +192,23 @@ def brute_force_distance(spec: LayeredGraphSpec, x, y) -> float:
     return float(best[0])
 
 
+#: margin of the first box that :func:`detour_distance` searches
+_DETOUR_FIRST_MARGIN = 16
+
+
 def detour_distance(field, x, y) -> float:
     """Exact unrestricted chemical distance via the single-detour reduction.
 
     Valid because edge weights depend only on the transverse coordinate and
     vertical weights never exceed transverse ones (z >= 1); see module
-    docstring.  Runs in time linear in the search region, which makes the
-    scaling fits at large t feasible.
+    docstring.  The search region is the box of the transverse sites within
+    ``margin = |x1 - y1| // 2 + 1`` of the bounding box of x2 and y2, and
+    inputs whose region exceeds ``SITE_BUDGET`` are refused before any site
+    is evaluated.  A site outside the smaller box of margin m costs at least
+    ``|x2 - y2|_1 + 2 (m + 1)``, so the boxes m = 16, 32, ... are searched in
+    turn, and the search stops at the first whose minimum is within that
+    bound.  Every site's cost is the same expression in every box, so the
+    value is the minimum over the whole region, bit for bit.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
@@ -212,13 +221,17 @@ def detour_distance(field, x, y) -> float:
     if dx1 == 0:
         return float(base)
     margin = dx1 // 2 + 1
-    lo = np.minimum(x2, y2) - margin
-    hi = np.maximum(x2, y2) + margin
-    w = grid_sites(zip(lo, hi))
-    z = field.values(w)
-    excess = np.abs(w - x2).sum(axis=-1) + np.abs(w - y2).sum(axis=-1)
-    cost = excess + dx1 / np.sqrt(z)
-    return float(cost.min())
+    lo, hi = np.minimum(x2, y2), np.maximum(x2, y2)
+    _count_sites(zip(lo - margin, hi + margin))
+    m = min(_DETOUR_FIRST_MARGIN, margin)
+    while True:
+        w = grid_sites(zip(lo - m, hi + m))
+        z = field.values(w)
+        excess = np.abs(w - x2).sum(axis=-1) + np.abs(w - y2).sum(axis=-1)
+        best = float((excess + dx1 / np.sqrt(z)).min())
+        if m == margin or best <= base + 2 * (m + 1):
+            return best
+        m = min(2 * m, margin)
 
 
 def round_half_away(v: float) -> int:

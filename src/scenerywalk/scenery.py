@@ -150,6 +150,14 @@ class ConstantField:
         return np.full(np.shape(sites)[:-1], float(self.value))
 
 
+def _count_sites(ranges) -> int:
+    """Sites of a product of inclusive (lo, hi) ranges; refuses more than :data:`SITE_BUDGET`."""
+    n = math.prod(int(hi) - int(lo) + 1 for lo, hi in ranges)
+    if n > SITE_BUDGET:
+        raise SiteBudgetError(f"box with {n} sites exceeds budget {SITE_BUDGET}")
+    return n
+
+
 def box_sites(radius: int, dim: int) -> np.ndarray:
     """All lattice sites with sup-norm <= radius, lexicographically ordered."""
     if radius < 0:
@@ -164,24 +172,10 @@ def grid_sites(ranges) -> np.ndarray:
     :class:`SiteBudgetError` before allocating anything.
     """
     ranges = [(int(lo), int(hi)) for lo, hi in ranges]
-    n = math.prod(hi - lo + 1 for lo, hi in ranges)
-    if n > SITE_BUDGET:
-        raise SiteBudgetError(f"box with {n} sites exceeds budget {SITE_BUDGET}")
+    _count_sites(ranges)
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def box_max(field, radius: int) -> tuple[float, tuple]:
-    """Maximum of z over the sup-norm ball of given radius.
-
-    Ties are broken towards the lexicographically smallest site, so the
-    argmax is deterministic.
-    """
-    sites = box_sites(radius, field.dim)
-    vals = field.values(sites)
-    best = np.flatnonzero(vals == vals.max())[0]  # sites are in lex order
-    return float(vals[best]), tuple(int(c) for c in sites[best])
 
 
 def exceedance_prob(alpha: float, dim: int, radius: int, threshold: float) -> float:

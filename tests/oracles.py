@@ -11,7 +11,9 @@ Rates are explicit parameters: the scenery walk has total rate 1, while the
 time-change representation of the layered walk needs component walks with
 per-edge rate 1 (total rate 2 vertically, 2d transversally).
 
-``TableField`` is the explicit-table scenery of the hand-computed examples.
+``TableField`` is the explicit-table scenery of the hand-computed examples,
+``box_max`` the maximum of a field over a ball, and ``detour_full_margin``
+the single-detour search over its whole margin box.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from scenerywalk import _kernels
+from scenerywalk.scenery import box_sites, grid_sites
 
 
 class InsufficientHorizonError(RuntimeError):
@@ -93,6 +96,40 @@ class TableField:
         flat = sites.reshape(-1, sites.shape[-1])
         out = np.array([self.table.get(tuple(int(c) for c in s), self.default) for s in flat])
         return out.reshape(sites.shape[:-1])
+
+
+def box_max(field, radius: int) -> tuple[float, tuple]:
+    """Maximum of z over the sup-norm ball of given radius.
+
+    Ties are broken towards the lexicographically smallest site, so the
+    argmax is deterministic.
+    """
+    sites = box_sites(radius, field.dim)
+    vals = field.values(sites)
+    best = np.flatnonzero(vals == vals.max())[0]  # sites are in lex order
+    return float(vals[best]), tuple(int(c) for c in sites[best])
+
+
+def detour_full_margin(field, x, y) -> float:
+    """Single-detour distance minimised over the whole margin box at once.
+
+    Every transverse site within ``|x1 - y1| // 2 + 1`` of the bounding box
+    of x2 and y2 is evaluated; ``chemdist.detour_distance`` must return the
+    same float from the nested boxes it stops at.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    dx1 = abs(int(x[0] - y[0]))
+    x2, y2 = x[1:], y[1:]
+    base = int(np.abs(x2 - y2).sum())
+    if dx1 == 0:
+        return float(base)
+    margin = dx1 // 2 + 1
+    w = grid_sites(zip(np.minimum(x2, y2) - margin, np.maximum(x2, y2) + margin))
+    z = field.values(w)
+    excess = np.abs(w - x2).sum(axis=-1) + np.abs(w - y2).sum(axis=-1)
+    cost = excess + dx1 / np.sqrt(z)
+    return float(cost.min())
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,43 @@
 Each test executes the corresponding checker from ``scenerywalk.verify``
 (the same functions the ``verify`` CLI subcommand uses), prints its
 PASS/FAIL line with the runtime, and asserts the criterion including its
-runtime budget.  Expect the full module to take several minutes; the slow
+runtime budget.  Expect the full module to take about a minute; the slow
 Monte Carlo criteria dominate.
+
+Every result's ``details`` must also hash to its pinned SHA-256 in
+:data:`DETAILS_SHA256`, taken over the sorted-key JSON that ``verify --out``
+writes for it; runtime and budget stay out of the hash.  A refactor must
+leave every digest unchanged.  A declared stream change re-records the
+digests of exactly the suites it changes, next to its statistical
+validation.
 """
 
-from scenerywalk import verify
+import hashlib
+import json
+
+from scenerywalk import reporting, verify
+
+#: SHA-256 of each suite's ``details`` as sorted-key JSON
+DETAILS_SHA256 = {
+    "variational identity": "2a57050a5b0579fe25a6b94eb454b579a45eb960bf79849d4c5cd4b72e72333b",
+    "regime continuity": "5d813c579b0959d09d5c7258925b3116ddf5802a9a476c906fd6cc97fa441ee0",
+    "law of large numbers": "4940f295eea73efa5b5ad1a98c46f115c556607bc17dbb3ff49d9841953b9bed",
+    "self-similar scaling": "1eecdad9519cb02242fbe59f0962daace8eee50625aa390d5321b8d8b96c50ef",
+    "polynomial regime": "42d8b65886d6f295dbefba758ba839c6e6f77461018424d332fd061009e9716e",
+    "chemical distance exponent": "fc7ef1d1c28cca05a631e1221ed9cbf2b06fb0cb66fdc679fb7fc7c52f31f5fc",
+    "metric axioms": "610e8910d9ddc7af8840f60fab9e846f218c198013819d8affc72e6274321afd",
+    "time-change representation": "bd5404d6a3dd199ea6a243f561377405525cbe9977aec813fd112c922a40c18c",
+    "appendix bounds": "b17228f43132e8782c65d5da427921fbe77ce84eb112a9c046520c7613acba1e",
+    "field law": "04b932f80d15b73051d08964e9d910a8f8ec9556856a0fe13afbd93dc14e6b45",
+    "level occupation scaling": "6332a3736eff8348db82b51b157771b26b854ce96e003a96ce805ab56898a773",
+    "determinism": "e16cb493cca5d7e8cc5ec9d66c715c3e8e522a03559ea3371156c5b3faf89351",
+}
+
+
+def details_digest(details: dict) -> str:
+    """SHA-256 of ``details`` as the sorted-key JSON of a ``verify --out`` report."""
+    written = json.loads(reporting.render_json(details))
+    return hashlib.sha256(json.dumps(written, sort_keys=True).encode()).hexdigest()
 
 
 def _run(checker):
@@ -16,6 +48,9 @@ def _run(checker):
     for key, value in result.details.items():
         print(f"    {key}: {value}")
     assert result.passed, f"{result.name} failed: {result.details}"
+    assert details_digest(result.details) == DETAILS_SHA256[result.name], (
+        f"{result.name} details changed"
+    )
     return result
 
 

@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from oracles import TableField
+from oracles import TableField, detour_full_margin
 from scenerywalk import chemdist
 from scenerywalk.chemdist import (
     ChemDistance,
@@ -124,6 +125,68 @@ class TestOracleEquivalence:
         with pytest.raises(SiteBudgetError):
             detour_distance(ConstantField(1.0, dim), (0,) * (1 + dim), target)
 
+    def test_dijkstra_site_budget(self):
+        # 4097^2 sites, just over SITE_BUDGET = 2^24; refused before any search
+        spec = LayeredGraphSpec(field=ConstantField(1.0, 1), box=((0, 4096), (0, 4096)))
+        with pytest.raises(SiteBudgetError):
+            chemical_distance(spec, (0, 0), (1, 1))
+
+
+#: largest |x1 - y1| drawn per transverse dimension: the full margin box
+#: stays small, while many draws pass the first searched margin of 16
+_DETOUR_DX1_MAX = {1: 120, 2: 80, 3: 45}
+
+
+class TestDetourPruning:
+    """``detour_distance`` returns the full-margin search's float exactly."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_full_margin_search(self, dim, alpha):
+        rng = np.random.default_rng(7_000 + 10 * dim + int(2 * alpha))
+        early = 0
+        for _ in range(34):
+            field = CountingField(
+                SceneryField(alpha=alpha, dim=dim, seed=int(rng.integers(2**32)))
+            )
+            x = rng.integers(-50, 51, size=1 + dim)
+            y = x + np.concatenate(
+                [rng.integers(0, _DETOUR_DX1_MAX[dim] + 1, size=1), rng.integers(-6, 7, size=dim)]
+            )
+            if rng.random() < 0.5:
+                x, y = y, x
+            assert detour_distance(field, x, y) == detour_full_margin(field.field, x, y)
+            margin = abs(int(x[0] - y[0])) // 2 + 1
+            full = np.prod(np.abs(x[1:] - y[1:]) + 2 * margin + 1)
+            early += field.sites < full
+        assert early >= 5
+
+    @pytest.mark.parametrize("value", [1.0, 3.0, 1e6])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constant_field(self, dim, value):
+        field = ConstantField(value, dim)
+        for dx1 in (0, 1, 2, 31, 32, 33, 34, 35, 64, 65, 66, 67, 150):
+            x = (0,) * (1 + dim)
+            y = (dx1, 3) + (-2,) * (dim - 1)
+            assert detour_distance(field, x, y) == detour_full_margin(field, x, y)
+
+    # x = (0, 0), y = (200, 0): the straight path costs 200 and the search
+    # margin is 101.  Site 16 on the edge of the first box (m = 16, bound
+    # 2 (m + 1) = 34) costs 32 + 200 / sqrt(z), and site 17 just outside it
+    # costs 34 + 2e-13.
+    @pytest.mark.parametrize(
+        "z16, expected, sites",
+        [(1e4, 34.0, 33), (9999.0, 34.0 + 2e-13, 33 + 65)],
+        ids=["at-bound", "past-bound"],
+    )
+    def test_minimum_at_stopping_bound(self, z16, expected, sites):
+        field = CountingField(TableField({(16,): z16, (17,): 1e30}, dim=1))
+        x, y = (0, 0), (200, 0)
+        value = detour_distance(field, x, y)
+        assert value == detour_full_margin(field.field, x, y)
+        assert value == pytest.approx(expected, rel=0, abs=1e-15)
+        assert field.sites == sites
+
 
 class TestDijkstraAll:
     def test_matches_pairwise(self):
@@ -138,15 +201,17 @@ class TestDijkstraAll:
 
 
 class CountingField:
-    """Field double that counts its ``values`` calls."""
+    """Field double that counts its ``values`` calls and the sites they evaluate."""
 
     def __init__(self, field):
         self.field = field
         self.dim = field.dim
         self.values_calls = 0
+        self.sites = 0
 
     def values(self, sites):
         self.values_calls += 1
+        self.sites += np.shape(sites)[0]
         return self.field.values(sites)
 
 

@@ -279,6 +279,33 @@ class TestVsrwKernel:
         slow = reference_vsrw_endpoints(field, t, 41, count, tag=(5, field.dim))
         assert np.array_equal(fast, slow)
 
+    @pytest.mark.parametrize(
+        "field,t,count",
+        [
+            (SceneryField(alpha=CALIBRATION["vsrw_fixture"]["alpha"], dim=1,
+                          seed=CALIBRATION["vsrw_fixture"]["seed"]), 50.0, 2000),
+            # two chunks: the second starts on the ball the first regrew
+            (SceneryField(alpha=1.5, dim=2, seed=3), 4.0, 16_500),
+        ],
+    )
+    def test_ball_escape_matches_per_step_reference(self, monkeypatch, field, t, count):
+        # a radius-1 ball is left by most rows, so the kernel regrows it
+        # (radius 1 -> 3 -> 7 -> ...) in the middle of the walk
+        balls = []
+
+        def ball(field, radius):
+            balls.append(radius)
+            return real_ball(field, radius)
+
+        real_ball = _kernels._ball
+        monkeypatch.setattr(_kernels, "_vsrw_radius", lambda dim, t: 1)
+        monkeypatch.setattr(_kernels, "_ball", ball)
+        fast = _kernels.vsrw_endpoints_batch(field, t, 43, count, tag=(6, field.dim))
+        slow = reference_vsrw_endpoints(field, t, 43, count, tag=(6, field.dim))
+        assert np.array_equal(fast, slow)
+        assert balls[:3] == [1, 3, 7]
+        assert np.abs(fast[:, 1:]).max() > 3
+
     def test_budget_refuses_before_any_draw(self, monkeypatch):
         def no_stream(*key):
             raise AssertionError("a stream was opened")

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import TableField
+from oracles import TableField, box_max
 from scenerywalk import scenery
 from scenerywalk.scenery import (
     ConstantField,
     SceneryField,
     SiteBudgetError,
-    box_max,
     box_sites,
     exceedance_prob,
     pareto_from_uniform,
