@@ -23,10 +23,11 @@ explicit-sojourn kernel kept in the tests sample the same laws and serve as
 oracles.
 
 Randomness comes from Philox streams keyed by (master seed, *tag, chunk
-index) with a fixed chunk size, where ``tag`` is an int or a tuple of ints.
-:func:`skeletons` is the one sub-batch loop: it draws the rows of one
-stream in memory-bounded sub-batches, and every reducer consumes the stream
-in a fixed order (skeleton, then the reducer's draws).  Results are
+index) with a fixed chunk size, where ``tag`` is an int or a tuple of ints;
+:func:`_chunks` is the one loop that keys them.  :func:`skeletons` is the
+one sub-batch loop: it draws the rows of one stream in memory-bounded
+sub-batches, and every reducer consumes the stream in a fixed order
+(skeleton, then the reducer's draws).  Results are
 therefore bit-reproducible and independent of the parallelism degree.
 Field values at batched positions come from one lookup, which for d = 1
 evaluates the strip of sites a batch spans once and gathers from it.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import scenery
-from .streams import chunk_ranges, philox
+from .streams import CHUNK, chunk_ranges, philox
 
 #: cap on rows*jumps elements held per sub-batch (keeps peak memory bounded)
 _ELEMENT_BUDGET = 2_500_000
@@ -48,6 +49,9 @@ _ELEMENT_BUDGET = 2_500_000
 #: 14 bytes per cell in d = 1 and 80 to 100 in d = 2 and 3, so the cap holds
 #: a sub-batch near 0.14 GB in d = 1 and 1 GB in d = 3
 _CELL_CAP = 4 * _ELEMENT_BUDGET
+
+#: replicas per Philox stream of :func:`vsrw_endpoints_batch` (fixed: results depend on it)
+_VSRW_CHUNK = 16384
 
 #: for each byte value, the walk's position after each of its eight steps
 #: (bits most significant first, bit 1 meaning +1), as eight int8 packed in
@@ -69,9 +73,16 @@ def _jump_capacity(rate: float, t: float) -> int:
     return int(np.ceil(mean_jumps + 12.0 * np.sqrt(mean_jumps + 1.0) + 30.0))
 
 
-def _key(tag) -> tuple:
-    """Stream-key parts of a kernel tag (an int or a tuple of ints)."""
-    return tag if isinstance(tag, tuple) else (tag,)
+def _chunks(master_seed: int, tag, count: int, size: int = CHUNK, *suffix: int):
+    """Yield ``(lo, hi, rng)`` per replica chunk: the one place a kernel keys a stream.
+
+    Chunk c covers replicas lo:hi of ``chunk_ranges(count, size)``, and
+    ``rng`` is the Philox stream keyed by (master_seed, *tag, c, *suffix),
+    where ``tag`` is an int or a tuple of ints.
+    """
+    key = tag if isinstance(tag, tuple) else (tag,)
+    for c, (lo, hi) in enumerate(chunk_ranges(count, size)):
+        yield lo, hi, philox(master_seed, *key, c, *suffix)
 
 
 def srw_paths_batch(
@@ -149,8 +160,7 @@ def _skeletons(dim: int, rate: float, t: float, master_seed: int, count: int, ta
     variables from ``rng`` before the next sub-batch, which fixes the order
     in which each chunk's stream is consumed.
     """
-    for c, (lo, hi) in enumerate(chunk_ranges(count)):
-        rng = philox(master_seed, *_key(tag), c)
+    for lo, hi, rng in _chunks(master_seed, tag, count):
         for rows, pos, live in skeletons(dim, rate, t, hi - lo, rng):
             yield slice(lo + rows.start, lo + rows.stop), rng, pos, live
 
@@ -234,10 +244,8 @@ def additive_functional_batch(
     :func:`local_times`, overrides the Pareto field (degenerate-law oracles).
     """
     field_seeds = np.empty(count, dtype=np.uint64)
-    for c, (lo, hi) in enumerate(chunk_ranges(count)):
-        field_seeds[lo:hi] = philox(master_seed, *_key(tag), c, 0xF1E1D).integers(
-            0, 2**63, size=hi - lo, dtype=np.uint64
-        )
+    for lo, hi, rng in _chunks(master_seed, tag, count, CHUNK, 0xF1E1D):
+        field_seeds[lo:hi] = rng.integers(0, 2**63, size=hi - lo, dtype=np.uint64)
     out = np.empty(count)
     for rows, rng, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
         sites, times = local_times(pos, live, t, rng)
@@ -349,8 +357,7 @@ def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag) -> 
     side = 2 * radius + 1
     z2_ball, rate_ball = 2.0 * z_ball, 2.0 * z_ball + 2.0 * d
     out = np.empty((count, 1 + d), dtype=np.int64)
-    for c, (lo, hi) in enumerate(chunk_ranges(count, 16384)):
-        rng = philox(master_seed, *_key(tag), c)
+    for lo, hi, rng in _chunks(master_seed, tag, count, _VSRW_CHUNK):
         n = hi - lo
         x1 = np.zeros(n, dtype=np.int64)
         cell = np.full(n, z_ball.size // 2)  # the origin, centre of the ball

@@ -66,12 +66,6 @@ class LayeredGraphSpec:
     def contains(self, site) -> bool:
         return all(lo <= c <= hi for c, (lo, hi) in zip(site, self.box))
 
-    def n_sites(self) -> int:
-        n = 1
-        for lo, hi in self.box:
-            n *= hi - lo + 1
-        return n
-
     @cached_property
     def _vertical_weights(self) -> dict:
         """Vertical edge weight per transverse site of the box (x2 tuple -> weight)."""
@@ -173,7 +167,7 @@ _BRUTE_FORCE_MAX_SITES = 12
 
 def brute_force_distance(spec: LayeredGraphSpec, x, y) -> float:
     """Minimum over all simple paths by exhaustive search (oracle, tiny boxes)."""
-    if spec.n_sites() > _BRUTE_FORCE_MAX_SITES:
+    if _count_sites(spec.box) > _BRUTE_FORCE_MAX_SITES:
         raise ValueError(f"brute force is limited to boxes with <= {_BRUTE_FORCE_MAX_SITES} sites")
     x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
     best = [np.inf]

@@ -7,9 +7,9 @@ JSON file (--config): flags win over file values, and file values over the
 defaults; the master seed falls back to the ``SCENERYWALK_SEED`` environment
 variable.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or budget
-refusal (site or jump budget), 3 refused by design (stretched-exponential
-Monte Carlo request).
+Exit codes: 0 success, 1 verification failure, 2 usage error, budget
+refusal (site or jump budget) or an output file that cannot be written, 3
+refused by design (stretched-exponential Monte Carlo request).
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config: {exc}")
+        if not isinstance(cfg, dict):
+            parser.error(f"config must be a JSON object, got {type(cfg).__name__}")
     allowed = flags | ({"field"} if {"alpha", "dim", "seed"} <= flags else set())
     unknown = set(cfg) - allowed
     if unknown:
@@ -165,10 +167,15 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
             setattr(args, key, _FLAGS[key].get("default"))
 
 
-def _master_seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return int(os.environ.get("SCENERYWALK_SEED", 0))
+def _master_seed(args, parser: argparse.ArgumentParser) -> int:
+    """Master seed from --seed, the config or ``SCENERYWALK_SEED`` (else 0).
+
+    A seed outside [0, 2^64) is refused: the 64-bit Philox key would wrap it.
+    """
+    seed = int(args.seed if args.seed is not None else os.environ.get("SCENERYWALK_SEED", 0))
+    if not 0 <= seed < 2**64:
+        parser.error(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _emit(args, header, rows, payload) -> None:
@@ -213,7 +220,7 @@ def _cmd_exponents(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    seed = _master_seed(args)
+    seed = _master_seed(args, parser)
     if args.replicas is None or args.replicas < 1:
         parser.error("simulate needs --replicas >= 1")
     if args.alpha in _UNSET or args.dim is None:
@@ -323,7 +330,7 @@ def _cmd_chemdist(args, parser) -> int:
         parser.error("chemdist needs --alpha --dim --delta --t-grid")
     alpha, delta, gamma = _scalar(args.alpha), _scalar(args.delta), _scalar(args.gamma, 0.0)
     t_grid = _parse_grid(args.t_grid, geometric=True)
-    seed = _master_seed(args)
+    seed = _master_seed(args, parser)
     seeds = [seed + k for k in range(args.seeds)]
     fit = chemdist.chemdist_scaling(alpha, args.dim, delta, gamma, t_grid, seeds)
     prov = reporting.provenance_string(
@@ -397,7 +404,7 @@ def main(argv=None) -> int:
     except StretchedRegimeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileExistsError, SiteBudgetError, JumpBudgetError) as exc:
+    except (ValueError, OSError, SiteBudgetError, JumpBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@ Exponent conventions
 ``p_exponent`` gives the stretched-exponential cost of the upper deviation
 {A_t >= t^rho} of the additive functional, ``q_closed_form`` the displacement
 cost of the layered conductance walk hitting t^delta e_1 + t^gamma e, and
-``q_variational`` recovers the latter from the former through
+``q_variational_grid`` recovers the latter from the former through
 
     q(alpha, delta) = delta  AND  inf over rho in [delta, M] of
                       max( p(alpha, rho), 2 delta - rho )
@@ -35,10 +35,13 @@ POLYNOMIAL = "polynomial"
 CRITICAL = "critical"
 BOUNDARY_ZERO = "boundary_zero"
 
+#: bisection tolerance of :func:`q_variational_grid`
+_BISECTION_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class ExponentResult:
-    """Exponent value with the regime that produced it and echoed inputs.
+    """Exponent value with the regime that produced it.
 
     ``value`` is None exactly for the marker regimes: "polynomial" (the
     probability decays like a negative power of t) and "critical" (rho = 1
@@ -48,15 +51,6 @@ class ExponentResult:
 
     value: Optional[float]
     regime: str
-    alpha: float
-    dim: int
-    rho: Optional[float] = None
-    delta: Optional[float] = None
-    gamma: Optional[float] = None
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.regime == POLYNOMIAL
 
 
 def _check_alpha_dim(alpha: float, dim: int) -> None:
@@ -106,17 +100,16 @@ def p_exponent(alpha: float, rho: float, dim: int) -> ExponentResult:
         raise ValueError(f"rho must be positive, got {rho}")
     rho_lo, rho_mid = p_thresholds(alpha, dim)
     heavy = alpha <= finite_mean_threshold(dim)
-    res = lambda value, regime: ExponentResult(value, regime, alpha, dim, rho=rho)
     if rho < rho_lo:
-        return res(None, POLYNOMIAL)
+        return ExponentResult(None, POLYNOMIAL)
     if rho == rho_lo:
         if heavy:
-            return res(0.0, BOUNDARY_ZERO)
-        return res(None, CRITICAL)
+            return ExponentResult(0.0, BOUNDARY_ZERO)
+        return ExponentResult(None, CRITICAL)
     first, second = p_branches(alpha, rho, dim)
     if rho <= rho_mid:
-        return res(first, "first")
-    return res(second, "second")
+        return ExponentResult(first, "first")
+    return ExponentResult(second, "second")
 
 
 def p_value_clamped(alpha, rho, dim: int):
@@ -133,7 +126,7 @@ def p_value_clamped(alpha, rho, dim: int):
 
 
 def ldp_exponent(alpha: float, dim: int) -> float:
-    """Exponent of P(A_t >= c t) for c above the scenery mean.
+    """Exponent of P(A_t >= c t) for c above the scenery mean, the first p branch at rho = 1.
 
     Requires alpha > 1 for d = 1 and alpha > d/2 for d >= 2 (finite-mean
     hypothesis of the linear large deviation result).
@@ -142,9 +135,7 @@ def ldp_exponent(alpha: float, dim: int) -> float:
     if alpha <= finite_mean_threshold(dim):
         needs = "1 when dim == 1" if dim == 1 else "dim/2 when dim >= 2"
         raise ValueError(f"ldp_exponent requires alpha > {needs}")
-    if dim == 1:
-        return (alpha - 1) / (alpha + 1)
-    return (2 * alpha - dim) / (2 * alpha + dim)
+    return p_branches(alpha, 1.0, dim)[0]
 
 
 def q_thresholds(alpha: float, dim: int) -> dict:
@@ -208,7 +199,7 @@ def q_closed_form(alpha: float, delta: float, dim: int) -> ExponentResult:
         regime = "second"
     else:
         regime = "first"
-    return ExponentResult(q_formula(regime, alpha, delta, dim), regime, alpha, dim, delta=delta)
+    return ExponentResult(q_formula(regime, alpha, delta, dim), regime)
 
 
 def q_value(alpha: float, delta: float, dim: int) -> float:
@@ -226,14 +217,16 @@ def variational_upper_limit(alpha: float, delta: float, dim: int) -> float:
     return 2 * delta + (alpha + dim) / alpha + 1
 
 
-def q_variational_grid(alphas, deltas, dim: int, tolerance: float = 1e-12) -> np.ndarray:
+def q_variational_grid(alphas, deltas, dim: int) -> np.ndarray:
     """Vectorised q over an (alpha, delta) grid via bisection on the crossing.
 
     ``p_value_clamped(alpha, .)`` is nondecreasing and ``2 delta - rho`` is
     strictly decreasing, so ``g = p - (2 delta - rho)`` has a single sign
     change on [delta, M]; the infimum of their max sits at that crossing
     (possibly at the jump rho = 1 when alpha > 1, which bisection pins down
-    because g jumps through zero there).  Returns min(delta, crossing value).
+    because g jumps through zero there).  The bisection halves the brackets
+    until the widest is below :data:`_BISECTION_TOLERANCE`, then 5 more
+    times, and at least 60 times.  Returns min(delta, crossing value).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -245,7 +238,7 @@ def q_variational_grid(alphas, deltas, dim: int, tolerance: float = 1e-12) -> np
         g_lo = p_value_clamped(a, lo, dim) - (2 * d_ - lo)
         # crossing below delta: infimum over [delta, M] is at rho = delta
         at_left = g_lo >= 0
-        n_iter = max(60, int(np.ceil(np.log2((hi - lo).max() / max(tolerance, 1e-300)))) + 5)
+        n_iter = max(60, int(np.ceil(np.log2((hi - lo).max() / _BISECTION_TOLERANCE))) + 5)
         for _ in range(n_iter):
             mid = 0.5 * (lo + hi)
             g_mid = p_value_clamped(a, mid, dim) - (2 * d_ - mid)
@@ -259,16 +252,6 @@ def q_variational_grid(alphas, deltas, dim: int, tolerance: float = 1e-12) -> np
         inf_val = np.where(at_left, np.maximum(p_value_clamped(a, d_, dim), d_), inf_val)
         out[i] = np.minimum(d_, inf_val)
     return out
-
-
-def q_variational(alpha: float, delta: float, dim: int, tolerance: float = 1e-12) -> float:
-    """Numeric q(alpha, delta) through the variational formula (see grid doc)."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    _check_alpha_dim(alpha, dim)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    return float(q_variational_grid([alpha], [delta], dim, tolerance)[0, 0])
 
 
 def displacement_exponent(alpha: float, delta: float, gamma: float, dim: int) -> float:

@@ -264,7 +264,7 @@ def tail_prob_scan(
         if rho > 1 and regime not in (exponents.POLYNOMIAL,):
             raise StretchedRegimeError(
                 f"(alpha={alpha}, rho={rho}, d={dim}) is in the {regime!r} regime; "
-                "use exponents.p_exponent / strategy_lower_bound instead"
+                "run `scenerywalk exponents --which p` instead"
             )
 
         def hits(i: int, t: float) -> int:
@@ -278,7 +278,7 @@ def tail_prob_scan(
         if not (q_regime == "first" and gamma <= 0.5):
             raise StretchedRegimeError(
                 f"(alpha={alpha}, delta={delta}, gamma={gamma}, d={dim}) decays "
-                "stretched-exponentially; use the exponent algebra instead"
+                "stretched-exponentially; run `scenerywalk exponents --which q` instead"
             )
         field = SceneryField(alpha=alpha, dim=dim, seed=seed)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import Iterable, Sequence
 
 from . import __version__
@@ -41,15 +42,16 @@ def render_json(payload) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write-once text output; refuses to clobber an existing file."""
-    import os
+    """Write-once text output; refuses to clobber an existing file.
 
+    The file is created in exclusive mode, so a file that appears after the
+    call starts is refused too, never overwritten.
+    """
     if path in ("-", None):
-        import sys
-
         sys.stdout.write(text)
         return
-    if os.path.exists(path):
-        raise FileExistsError(f"refusing to overwrite existing output {path}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "x", encoding="utf-8") as fh:
+            fh.write(text)
+    except FileExistsError:
+        raise FileExistsError(f"refusing to overwrite existing output {path}") from None

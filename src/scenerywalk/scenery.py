@@ -79,10 +79,7 @@ def site_uniforms(seed, sites) -> np.ndarray:
     ``seed`` is a uint64 scalar or an array broadcastable against the leading
     axes of ``sites`` (an array of seeds yields independent fields).
     """
-    sites = np.asarray(sites)
-    if sites.ndim == 0:
-        sites = sites.reshape(1, 1)
-    coords = _zigzag(sites)
+    coords = _zigzag(np.asarray(sites))
     seed = _splitmix64(np.asarray(seed, dtype=np.uint64))
     shape = np.broadcast_shapes(seed.shape, coords.shape[:-1])
     h = np.broadcast_to(seed, shape).copy()
@@ -107,15 +104,12 @@ class SceneryField:
     alpha: float
     dim: int
     seed: int
-    law: str = PARETO_EXACT
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if self.law != PARETO_EXACT:
-            raise ValueError(f"unsupported scenery law {self.law!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -128,15 +122,14 @@ class SceneryField:
 
     @classmethod
     def from_config(cls, record: Mapping) -> "SceneryField":
+        """Field of a config record {alpha, dim, seed, law}; a given law must be ParetoExact."""
         extra = set(record) - {"alpha", "dim", "seed", "law"}
         if extra:
             raise ValueError(f"unknown field-config keys: {sorted(extra)}")
-        return cls(
-            alpha=float(record["alpha"]),
-            dim=int(record["dim"]),
-            seed=int(record["seed"]),
-            law=record.get("law", PARETO_EXACT),
-        )
+        law = record.get("law", PARETO_EXACT)
+        if law != PARETO_EXACT:
+            raise ValueError(f"unsupported scenery law {law!r}")
+        return cls(alpha=float(record["alpha"]), dim=int(record["dim"]), seed=int(record["seed"]))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ class TailEstimate:
             raise ValueError("Wilson interval must bracket the point estimate")
 
 
-def wilson_ci(successes, trials: int, z: float = Z95):
-    """Wilson score interval for a binomial proportion.
+def wilson_ci(successes, trials: int):
+    """Wilson 95% score interval (normal quantile :data:`Z95`) for a binomial proportion.
 
     ``successes`` may be an int, giving two floats, or an array, giving two
     arrays computed elementwise with the same arithmetic.  The bounds are
@@ -39,6 +39,7 @@ def wilson_ci(successes, trials: int, z: float = Z95):
     if trials <= 0:
         raise ValueError("trials must be positive")
     k = np.asarray(successes)
+    z = Z95
     p = k / trials
     denom = 1 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom

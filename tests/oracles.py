@@ -12,8 +12,9 @@ time-change representation of the layered walk needs component walks with
 per-edge rate 1 (total rate 2 vertically, 2d transversally).
 
 ``TableField`` is the explicit-table scenery of the hand-computed examples,
-``box_max`` the maximum of a field over a ball, and ``detour_full_margin``
-the single-detour search over its whole margin box.
+``box_max`` the maximum of a field over a ball, ``detour_full_margin``
+the single-detour search over its whole margin box, and
+``layered_second_moment`` the exact E[X1(t)^2] of the layered walk.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
+from scipy import integrate
+from scipy.special import ive
 
 from scenerywalk import _kernels
 from scenerywalk.scenery import box_sites, grid_sites
@@ -130,6 +133,24 @@ def detour_full_margin(field, x, y) -> float:
     excess = np.abs(w - x2).sum(axis=-1) + np.abs(w - y2).sum(axis=-1)
     cost = excess + dx1 / np.sqrt(z)
     return float(cost.min())
+
+
+def layered_second_moment(field, t: float) -> float:
+    """Exact E[X1(t)^2] of the layered VSRW started at the origin.
+
+    X1 jumps +1 and -1 at rate z(x2) each, so X1(t)^2 has mean 2 E[A2_t],
+    with A2_t the integral of z along the transverse walk (per-edge rate 1):
+
+        E[X1(t)^2] = 2 sum_x z(x) int_0^t e^(-2ds) prod_i I_(x_i)(2s) ds.
+
+    The sum runs over the sup-norm ball of radius ceil(15 sqrt(2dt)), 15
+    standard deviations of the transverse walk at time t.
+    """
+    radius = int(np.ceil(15.0 * np.sqrt(2.0 * field.dim * t)))
+    sites = box_sites(radius, field.dim)
+    z = field.values(sites)
+    density = lambda s: float(z @ np.prod(ive(sites, 2.0 * s), axis=-1))
+    return 2.0 * integrate.quad(density, 0.0, t, limit=200)[0]
 
 
 @dataclass(frozen=True)

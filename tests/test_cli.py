@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from scenerywalk import reporting
 from scenerywalk.cli import main
 
 
@@ -310,6 +311,58 @@ class TestSimulateCommand:
         ]
         assert run_cli(args)[0] == 0
         assert run_cli(args)[0] == 2  # refuses to overwrite
+
+    def test_write_once_refuses_a_file_made_after_the_check(self, tmp_path, monkeypatch):
+        # a file created between an existence check and the open must not be
+        # clobbered: the open itself refuses it
+        out_file = tmp_path / "raced.csv"
+        out_file.write_text("first\n")
+        monkeypatch.setattr(os.path, "exists", lambda path: False)
+        with pytest.raises(FileExistsError, match="refusing to overwrite existing output"):
+            reporting.write_text(str(out_file), "second\n")
+        assert out_file.read_text() == "first\n"
+
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "a-file/x.csv"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        (tmp_path / "a-file").write_text("")
+        args = ["simulate", "lln", "--alpha", "2", "--dim", "1", "--t-grid", "100"]
+        code, out = run_cli(args + ["--replicas", "10", "--out", str(tmp_path / where)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOutsideInput:
+    """Seeds and config files come from outside and are checked before any run."""
+
+    _LLN = ["simulate", "lln", "--alpha", "2", "--dim", "1", "--t-grid", "100", "--replicas", "10"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_outside_64_bits_refused(self, capsys, seed):
+        assert run_cli(self._LLN + ["--seed", seed]) == (2, "")
+        assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self):
+        assert run_cli(self._LLN + ["--seed", str(2**64 - 1)])[0] == 0
+
+    def test_env_seed_outside_64_bits_refused(self):
+        assert run_cli(self._LLN, env={"SCENERYWALK_SEED": "-1"})[0] == 2
+
+    def test_config_seed_outside_64_bits_refused(self, tmp_path):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": 2**64}))
+        assert run_cli(self._LLN + ["--config", str(cfg)])[0] == 2
+
+    def test_chemdist_seed_refused_as_usage_error(self, capsys):
+        args = ["chemdist", "--alpha", "1", "--dim", "1", "--delta", "1", "--t-grid", "10:1000:5"]
+        assert run_cli(args + ["--seed", "-1"])[0] == 2
+        assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [5, [["alpha", 1]], ["alpha"], "alpha"])
+    def test_config_not_an_object_refused(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(json.dumps(payload))
+        assert run_cli(self._LLN + ["--config", str(cfg)])[0] == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
 
 class TestChemdistCommand:

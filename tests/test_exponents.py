@@ -24,7 +24,7 @@ class TestPExponent:
     def test_polynomial_marker_below_threshold(self):
         # threshold (alpha+1)/(2 alpha) = 1.5 for alpha = 0.5
         r = E.p_exponent(0.5, 1.4, 1)
-        assert r.is_polynomial and r.value is None
+        assert r.regime == E.POLYNOMIAL and r.value is None
 
     def test_boundary_zero_by_monotonicity(self):
         r = E.p_exponent(0.5, 1.5, 1)
@@ -130,7 +130,7 @@ class TestQVariational:
         [(2.0, 1.5, 4.0 / 3.0), (1.0, 1.0, 0.5), (1.0, 0.4, 0.0)],
     )
     def test_hand_crossings(self, alpha, delta, expected):
-        assert E.q_variational(alpha, delta, 1) == pytest.approx(expected, abs=1e-10)
+        assert E.q_variational_grid([alpha], [delta], 1)[0, 0] == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_closed_form_on_subgrid(self, dim):
@@ -140,10 +140,6 @@ class TestQVariational:
         for i, a in enumerate(alphas):
             qc = np.array([E.q_value(a, d, dim) for d in deltas])
             assert np.abs(qv[i] - qc).max() <= 1e-9
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            E.q_variational(1.0, 1.0, 1, tolerance=0.0)
 
 
 class TestDisplacement:

@@ -25,7 +25,9 @@ from scipy.special import ive
 from scenerywalk import _kernels, montecarlo
 from scenerywalk.calibration import CALIBRATION
 from scenerywalk.scenery import ConstantField, JumpBudgetError, SceneryField
-from scenerywalk.streams import chunk_ranges, philox
+from scenerywalk.streams import philox
+
+from oracles import layered_second_moment
 
 
 def oracle_paths(dim, rate, t, count, rng):
@@ -112,8 +114,7 @@ def reference_vsrw_endpoints(field, t, master_seed, count, tag):
     """VSRW endpoints with z(x2) re-evaluated on every row at every step."""
     d = field.dim
     out = np.empty((count, 1 + d), dtype=np.int64)
-    for c, (lo, hi) in enumerate(chunk_ranges(count, 16384)):
-        rng = philox(master_seed, *_kernels._key(tag), c)
+    for lo, hi, rng in _kernels._chunks(master_seed, tag, count, _kernels._VSRW_CHUNK):
         n = hi - lo
         pos = np.zeros((n, 1 + d), dtype=np.int64)
         clock = np.zeros(n)
@@ -313,6 +314,22 @@ class TestVsrwKernel:
         monkeypatch.setattr(_kernels, "philox", no_stream)
         with pytest.raises(JumpBudgetError, match="jumps"):
             _kernels.vsrw_endpoints_batch(ConstantField(1e9, 1), 50.0, 1, 1, tag=0)
+
+    @pytest.mark.parametrize(
+        "kernel,count,seed",
+        [
+            (_kernels.composed_endpoints_batch, 400_000, 61),
+            (_kernels.vsrw_endpoints_batch, 50_000, 62),
+        ],
+    )
+    def test_second_moment_is_exact(self, kernel, count, seed):
+        # E[X1(t)^2] = 2 E[A2_t] on the fixture (533.396 at t = 50); a composed
+        # clock running 2% fast reads 7.1 SE high at these seeds
+        fx = CALIBRATION["vsrw_fixture"]
+        field = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
+        squares = kernel(field, 50.0, seed, count, tag=(9, 1))[:, 0].astype(np.float64) ** 2
+        se = squares.std(ddof=1) / np.sqrt(count)
+        assert abs(squares.mean() - layered_second_moment(field, 50.0)) <= 4 * se
 
     def test_budget_admits_timechange_suite(self):
         # 1e5 replicas at t=50 on the fixture expect about 1.1e9 jumps

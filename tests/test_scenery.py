@@ -130,7 +130,7 @@ class TestConfigRecord:
 
     def test_unsupported_law_rejected(self):
         with pytest.raises(ValueError):
-            SceneryField(alpha=1.0, dim=1, seed=0, law="LogNormal")
+            SceneryField.from_config({"alpha": 1.0, "dim": 1, "seed": 0, "law": "LogNormal"})
 
 
 class TestOverrideFields:
