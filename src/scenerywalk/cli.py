@@ -1,11 +1,12 @@
 """Command-line front-end.
 
-Subcommands: ``exponents`` (phase-diagram tables), ``simulate`` (Monte Carlo
-estimators), ``chemdist`` (distance scaling fits) and ``verify`` (acceptance
-suites), each taking only the flags it reads.  Configuration can come from a
-JSON file (--config): flags win over file values, and file values over the
-defaults; the master seed falls back to the ``SCENERYWALK_SEED`` environment
-variable.
+Subcommands: ``exponents`` (phase-diagram tables), ``simulate <task>`` (Monte
+Carlo estimators, one subcommand per task), ``chemdist`` (distance scaling
+fits) and ``verify`` (acceptance suites), each taking only the flags it
+reads; a flag or config key that it does not read is a usage error.
+Configuration can come from a JSON file (--config): flags win over file
+values, and file values over the defaults; the master seed falls back to the
+``SCENERYWALK_SEED`` environment variable.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, budget
 refusal (site or jump budget) or an output file that cannot be written, 3
@@ -25,27 +26,42 @@ from . import __version__, chemdist, exponents, montecarlo, reporting, verify
 from .montecarlo import StretchedRegimeError
 from .scenery import JumpBudgetError, SceneryField, SiteBudgetError
 
+#: exponents table kind -> the x flag it tabulates over, then the other flags it reads
+_TABLES = {"p": ("rho",), "q": ("delta",), "displacement": ("delta", "gamma")}
+
 #: flag name -> add_argument keywords; a default is applied only after the
 #: config file is read, so that it cannot override a file value
 _FLAGS = {
     "config": dict(help="JSON config file; explicit flags win"),
-    "alpha": dict(help="tail index, value or grid (list/lo:hi:n)"),
+    "alpha": dict(help="tail index alpha (exponents: a grid, list or lo:hi:n)"),
     "dim": dict(type=int, help="lattice dimension d"),
-    "rho": dict(help="deviation exponent rho (value or grid)"),
-    "delta": dict(help="vertical displacement exponent delta"),
+    "rho": dict(help="deviation exponent rho (exponents: a grid)"),
+    "delta": dict(help="vertical displacement exponent delta (exponents: a grid)"),
     "gamma": dict(help="transverse displacement exponent gamma"),
     "t_grid": dict(help="time grid, list or lo:hi:n (geometric)"),
     "replicas": dict(type=int, help="Monte Carlo replicas"),
     "seed": dict(type=int, help="master seed (env SCENERYWALK_SEED fallback)"),
     "out": dict(help="output path (default stdout, write-once)"),
     "format": dict(choices=("csv", "json"), default="csv"),
-    "jobs": dict(type=int, help="parallel evaluation slots"),
-    "which": dict(choices=("p", "q", "displacement"), help="table kind"),
+    "jobs": dict(type=int, help="parallel evaluation slots (>= 1)"),
+    "which": dict(choices=tuple(_TABLES), help="table kind"),
     "quantile": dict(type=float, default=0.5),
     "b_value": dict(type=float, default=5.0),
     "moment": dict(type=int, default=2),
     "seeds": dict(type=int, default=20, help="number of environments"),
     "suite": dict(default="all", help="comma list of suite names or 'all'"),
+}
+
+#: flags every simulate task reads
+_SIM_COMMON = ("alpha", "dim", "t_grid", "replicas", "seed", "format")
+
+#: simulate task -> (help, flags it reads besides _SIM_COMMON, single horizon)
+_TASKS = {
+    "lln": ("sample mean of A_t/t against the scenery mean", (), True),
+    "scaling": ("log-log slope of a quantile of A_t", ("quantile", "jobs"), False),
+    "tail-scan": ("polynomial-regime tail frequencies", ("rho", "delta", "gamma", "jobs"), False),
+    "chen": ("Chen-type tail bound on l_t(0)", ("b_value",), True),
+    "khasminskii": ("factorial moment bound on l_t(0)", ("moment",), True),
 }
 
 
@@ -76,15 +92,19 @@ def _parse_grid(text, geometric: bool) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-#: values of a value-or-grid flag that count as leaving it out
+#: values of a flag that count as leaving it out
 _UNSET = (None, "", [])
 
 
-def _scalar(text, default=None):
-    """First value of a value-or-grid flag; ``default`` when the flag is left out."""
+def _scalar(args, flag: str, default=None):
+    """The one value of a value flag; ``default`` when it is left out or not taken."""
+    text = getattr(args, flag, None)
     if text in _UNSET:
         return default
-    return float(_parse_grid(text, geometric=False)[0])
+    values = _parse_grid(text, geometric=False)
+    if len(values) != 1:
+        raise ValueError(f"--{flag.replace('_', '-')} takes one value, got {text!r}")
+    return float(values[0])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,22 +115,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"scenerywalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, *flags):
-        p = sub.add_parser(name, help=help)
+    def add(into, name, help, *flags):
+        p = into.add_parser(name, help=help)
         for flag in ("config", *flags, "out"):
             spec = dict(_FLAGS[flag], default=None)
             p.add_argument("--" + flag.replace("_", "-"), dest=flag, **spec)
-        return p
 
-    add("exponents", "tabulate exponent phase diagrams",
+    add(sub, "exponents", "tabulate exponent phase diagrams",
         "alpha", "dim", "rho", "delta", "gamma", "which", "format")
-    p_sim = add("simulate", "run a Monte Carlo estimator",
-                "alpha", "dim", "rho", "delta", "gamma", "t_grid", "replicas", "seed", "format",
-                "jobs", "quantile", "b_value", "moment")
-    p_sim.add_argument("task", choices=("lln", "scaling", "tail-scan", "chen", "khasminskii"))
-    add("chemdist", "chemical distance scaling fit",
+    tasks = sub.add_parser("simulate", help="run a Monte Carlo estimator").add_subparsers(
+        dest="task", required=True
+    )
+    for task, (help, flags, _) in _TASKS.items():
+        add(tasks, task, help, *_SIM_COMMON, *flags)
+    add(sub, "chemdist", "chemical distance scaling fit",
         "alpha", "dim", "delta", "gamma", "t_grid", "seed", "format", "seeds")
-    add("verify", "run acceptance suites", "suite")
+    add(sub, "verify", "run acceptance suites", "suite")
     return parser
 
 
@@ -130,10 +150,10 @@ def _config_value(key: str, value, parser: argparse.ArgumentParser):
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill flags left unset from the --config file, then from the defaults.
 
-    A config may set only the flags its subcommand takes, plus a ``field``
-    record where the subcommand takes --alpha, --dim and --seed.  A file
-    value goes through its flag's ``type`` and ``choices``; flags without a
-    type (the grids) also take numbers and lists.
+    A config may set only the flags its subcommand (or simulate task)
+    takes, plus a ``field`` record where it takes --alpha, --dim and --seed.
+    A file value goes through its flag's ``type`` and ``choices``; flags
+    without a type (the grids and values) also take numbers and lists.
     """
     flags = set(vars(args)) - {"command", "task", "config"}
     cfg = {}
@@ -148,7 +168,8 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     allowed = flags | ({"field"} if {"alpha", "dim", "seed"} <= flags else set())
     unknown = set(cfg) - allowed
     if unknown:
-        parser.error(f"config fields not read by {args.command}: {sorted(unknown)}")
+        name = " ".join(filter(None, (args.command, getattr(args, "task", None))))
+        parser.error(f"config fields not read by {name}: {sorted(unknown)}")
     if "field" in cfg:
         # scenery description record {alpha, dim, seed, law}
         try:
@@ -191,11 +212,15 @@ def _cmd_exponents(args, parser) -> int:
         parser.error("exponents needs --alpha and --dim")
     alphas = _parse_grid(args.alpha, geometric=False)
     which = args.which or ("p" if args.rho is not None else "q")
-    flag, x_text = ("rho", args.rho) if which == "p" else ("delta", args.delta)
+    for f in ("rho", "delta", "gamma"):
+        if f not in _TABLES[which] and getattr(args, f) not in _UNSET:
+            parser.error(f"--which {which} does not read --{f}")
+    flag = _TABLES[which][0]
+    x_text = getattr(args, flag)
     if x_text is None:
         parser.error(f"--which {which} needs --{flag}")
     xs = _parse_grid(x_text, geometric=False)
-    gamma = _scalar(args.gamma, 0.0)
+    gamma = _scalar(args, "gamma", 0.0)
     rows = exponents.phase_diagram(alphas, xs, which.upper(), args.dim, gamma=gamma)
     prov = reporting.provenance_string(
         {
@@ -225,7 +250,10 @@ def _cmd_simulate(args, parser) -> int:
         parser.error("simulate needs --replicas >= 1")
     if args.alpha in _UNSET or args.dim is None:
         parser.error("simulate needs --alpha and --dim")
-    alpha = _scalar(args.alpha)
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {jobs}")
+    alpha = _scalar(args, "alpha")
     dim = args.dim
     t_grid = _parse_grid(args.t_grid, geometric=True) if args.t_grid else None
     params = {
@@ -236,24 +264,26 @@ def _cmd_simulate(args, parser) -> int:
         "replicas": args.replicas,
         "t_grid": t_grid,
     }
-    rho, delta = _scalar(args.rho), _scalar(args.delta)
+    rho, delta, gamma = (_scalar(args, flag) for flag in ("rho", "delta", "gamma"))
     model = None
     if args.task == "tail-scan":
         model = "rcm" if delta is not None else "rwrs"
-    # every resolved input that can change the output (not jobs, out or format)
+    # every resolved input that can change the output (not jobs, out or format);
+    # a flag the task does not take enters at its default
     prov = reporting.provenance_string(
         {
             **params,
             "rho": rho,
             "delta": delta,
-            "gamma": _scalar(args.gamma) or 0.0,
-            "quantile": args.quantile,
-            "b_value": args.b_value,
-            "moment": args.moment,
+            "gamma": gamma or 0.0,
+            **{
+                f: getattr(args, f, _FLAGS[f]["default"])
+                for f in ("quantile", "b_value", "moment")
+            },
             "model": model,
         }
     )
-    single_horizon = args.task in ("lln", "chen", "khasminskii")
+    _, _, single_horizon = _TASKS[args.task]
     if single_horizon and (not t_grid or len(t_grid) != 1):
         parser.error(f"{args.task} needs --t-grid with exactly one value")
     if not t_grid:
@@ -266,7 +296,7 @@ def _cmd_simulate(args, parser) -> int:
         extra = {"result": rows[0][:4]}
     elif args.task == "scaling":
         r = montecarlo.scaling_exponent_estimate(
-            alpha, dim, t_grid, args.replicas, args.quantile, seed, jobs=args.jobs
+            alpha, dim, t_grid, args.replicas, args.quantile, seed, jobs=jobs
         )
         header = ("t", "quantile_A_t", "seed", "replicas", "provenance")
         rows = [(t, q, seed, args.replicas, prov) for t, q in r.quantiles]
@@ -281,11 +311,15 @@ def _cmd_simulate(args, parser) -> int:
         if model == "rwrs":
             if rho is None:
                 parser.error("rwrs tail-scan needs --rho")
+            if gamma is not None:
+                parser.error("rwrs tail-scan does not read --gamma")
             kwargs = {"rho": rho}
         else:
-            kwargs = {"delta": delta, "gamma": _scalar(args.gamma, 0.0)}
+            if rho is not None:
+                parser.error("rcm tail-scan does not read --rho")
+            kwargs = {"delta": delta, "gamma": 0.0 if gamma is None else gamma}
         scan = montecarlo.tail_prob_scan(
-            model, alpha, dim, t_grid, args.replicas, seed, jobs=args.jobs, **kwargs
+            model, alpha, dim, t_grid, args.replicas, seed, jobs=jobs, **kwargs
         )
         header = (
             "t",
@@ -328,7 +362,8 @@ def _cmd_chemdist(args, parser) -> int:
     missing = args.dim is None or not args.t_grid
     if missing or args.alpha in _UNSET or args.delta in _UNSET:
         parser.error("chemdist needs --alpha --dim --delta --t-grid")
-    alpha, delta, gamma = _scalar(args.alpha), _scalar(args.delta), _scalar(args.gamma, 0.0)
+    alpha, delta = _scalar(args, "alpha"), _scalar(args, "delta")
+    gamma = _scalar(args, "gamma", 0.0)
     t_grid = _parse_grid(args.t_grid, geometric=True)
     seed = _master_seed(args, parser)
     seeds = [seed + k for k in range(args.seeds)]

@@ -11,12 +11,12 @@ those regimes raise :class:`StretchedRegimeError`.  Every estimator is
 reproducible bit-exactly from (master seed, parameters): randomness flows
 through keyed Philox streams only.
 
-Each law has one sampler.  ``_occupation`` (time in a site set, by default
-l_t(0)) serves local_time_samples, chen_verify, khasminskii_verify and
-strategy_lower_bound, so an exact d = 1 origin local time (ROADMAP item 7)
-changes only it.  ``_functional`` (A_t) serves lln_check,
-scaling_exponent_estimate and the rwrs tail scan; both tail-scan models
-share one grid loop, and the rcm target is ``chemdist.target_site``.
+Each law has one sampler.  ``_occupation`` (the origin local time l_t(0)
+of the walk started at the origin) serves local_time_samples, chen_verify,
+khasminskii_verify and strategy_lower_bound, so an exact d = 1 origin local
+time (ROADMAP item 7) changes only it.  ``_functional`` (A_t) serves
+lln_check, scaling_exponent_estimate and the rwrs tail scan; both tail-scan
+models share one grid loop, and the rcm target is ``chemdist.target_site``.
 
 Stream keys are tuples whose head is the estimator's own ``_KEY_*`` constant
 below, followed by its grid indices (or, where there is none, the float64
@@ -78,19 +78,11 @@ class StretchedRegimeError(RuntimeError):
     """
 
 
-def _occupation(dim: int, t: float, replicas: int, seed: int, tag, sites=None, start=None):
-    """Time the rate-1 walk from ``start`` spends by t in a finite site set (default: the origin)."""
-    if sites is None:
-        sites = ((0,) * dim,)
-    marks = [np.asarray(s, dtype=np.int32) for s in sites]
-
-    def indicator(pos: np.ndarray) -> np.ndarray:
-        mask = np.all(pos == marks[0], axis=-1)
-        for s in marks[1:]:
-            mask |= np.all(pos == s, axis=-1)
-        return mask
-
-    return _kernels.occupation_batch(dim, RWRS_RATE, t, seed, replicas, tag, indicator, start=start)
+def _occupation(dim: int, t: float, replicas: int, seed: int, tag):
+    """Origin local time l_t(0) of the rate-1 walk started at the origin."""
+    return _kernels.occupation_batch(
+        dim, RWRS_RATE, t, seed, replicas, tag, lambda pos: np.all(pos == 0, axis=-1)
+    )
 
 
 def _functional(alpha: float, dim: int, t: float, replicas: int, seed: int, tag, law_override=None):
@@ -185,34 +177,30 @@ def scaling_exponent_estimate(
     replicas: int,
     quantile: float,
     seed: int,
-    law_override: Optional[float] = None,
     jobs: Optional[int] = None,
 ) -> ScalingEstimate:
     """Log-log slope of a quantile of A_t over a geometric t grid.
 
     For d = 1 the reference slope is the self-similar exponent
     (alpha+1)/(2 alpha); for d >= 2 the reference d/(2 alpha) is an upper
-    bound only (reported one-sided).  Needs alpha <= 1 unless a degenerate
-    law override is supplied.
+    bound only (reported one-sided).  Needs alpha <= 1.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 5:
         raise ValueError("t_grid must be geometric with at least 5 points")
-    if law_override is None and alpha > 1:
+    if alpha > 1:
         raise ValueError("scaling_exponent_estimate covers the alpha <= 1 range")
     if not 0 < quantile < 1:
         raise ValueError("quantile must be in (0, 1)")
 
     def one(i: int):
-        a_vals = _functional(alpha, dim, t_grid[i], replicas, seed, (_KEY_SCALING, i), law_override)
+        a_vals = _functional(alpha, dim, t_grid[i], replicas, seed, (_KEY_SCALING, i))
         return (t_grid[i], float(np.quantile(a_vals, quantile)))
 
     qs = _map_indexed(one, len(t_grid), jobs)
     fit = loglog_slope([q[0] for q in qs], [q[1] for q in qs])
-    reference, one_sided = exponents.p_thresholds(alpha, dim)[0], dim >= 2
-    if law_override is not None:
-        reference, one_sided = 1.0, False
-    return ScalingEstimate(fit.slope, fit.stderr, tuple(qs), reference, one_sided)
+    reference = exponents.p_thresholds(alpha, dim)[0]
+    return ScalingEstimate(fit.slope, fit.stderr, tuple(qs), reference, dim >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -328,28 +316,6 @@ def log_transition_prob(dim: int, rate: float, t: float, sites: np.ndarray) -> n
         for i in range(dim):
             out += np.log(ive(np.abs(sites[:, i]).astype(np.float64), u))
     return out
-
-
-def transition_prob_mc(
-    dim: int, total_rate: float, t: float, x, replicas: int, rng: np.random.Generator
-) -> TailEstimate:
-    """Unbiased frequency estimate of p_t(0, x) with a Wilson interval.
-
-    Simulates the jump skeleton (Poisson jump count, uniform neighbour
-    choices) and counts endpoint hits, so it is an independent check of
-    :func:`log_transition_prob`.
-    """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    if x.size != dim:
-        raise ValueError(f"x must have {dim} coordinates")
-    hits = 0
-    for _, pos, live in _kernels.skeletons(dim, total_rate, t, replicas, rng):
-        hits += int(np.sum(np.all(_kernels.endpoints(pos, live) == x, axis=-1)))
-    return tail_estimate(hits, replicas)
 
 
 # ---------------------------------------------------------------------------
@@ -579,47 +545,26 @@ class KhasminskiiReport:
         return self.lhs > self.rhs
 
 
-def khasminskii_verify(
-    dim: int,
-    t: float,
-    m: int,
-    replicas: int,
-    seed: int,
-    sites: Optional[Sequence[tuple]] = None,
-) -> KhasminskiiReport:
-    """Check the factorial moment bound E_x[(int f)^m] <= m! (sup E_x int f)^m.
+def khasminskii_verify(dim: int, t: float, m: int, replicas: int, seed: int) -> KhasminskiiReport:
+    """Check the factorial moment bound E_0[l_t(0)^m] <= m! (E_0 l_t(0))^m.
 
-    ``f`` is the indicator of a finite site set (default: the origin); the
-    sup runs over the support sites.  The right-hand side carries a
-    3 sigma statistical slack factor so sampling noise cannot flag a
-    spurious violation of a true inequality.
+    This is the bound E_x[(int f)^m] <= m! (sup_x E_x int f)^m for f the
+    origin indicator, whose support is the origin alone, so the sup is the
+    one expectation E_0 l_t(0).  The right-hand side carries a 3 sigma
+    statistical slack factor so sampling noise cannot flag a spurious
+    violation of a true inequality.
     """
     if not 1 <= m <= 4:
         raise ValueError("moment order m must be in 1..4")
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-    if sites is None:
-        sites = ((0,) * dim,)
-    sites = [tuple(int(c) for c in s) for s in sites]
-    if not sites:
-        raise ValueError("sites must contain at least one site")
-    sup_base, sup_base_rel = -np.inf, 0.0
-    lhs, lhs_rel = -np.inf, 0.0
-    for i, x in enumerate(sites):
-        key = (_KEY_KHASMINSKII, _float_part(t), m, i)
-        occ = _occupation(dim, t, replicas, seed, key, sites, start=x)
-        base = occ.mean()
-        if base > sup_base:
-            sup_base = base
-            sup_base_rel = standard_error(occ) / base
-        mom = (occ**m).mean()
-        if mom > lhs:
-            lhs = mom
-            lhs_rel = standard_error(occ**m) / mom
-    slack = 3.0 * (lhs_rel + m * sup_base_rel)
-    rhs = math.factorial(m) * sup_base**m * (1.0 + slack)
+    occ = _occupation(dim, t, replicas, seed, (_KEY_KHASMINSKII, _float_part(t), m, 0))
+    base = occ.mean()
+    lhs = (occ**m).mean()
+    slack = 3.0 * (standard_error(occ**m) / lhs + m * (standard_error(occ) / base))
+    rhs = math.factorial(m) * base**m * (1.0 + slack)
     return KhasminskiiReport(
-        t=t, m=m, lhs=float(lhs), rhs=float(rhs), base_moment=float(sup_base), slack=float(slack)
+        t=t, m=m, lhs=float(lhs), rhs=float(rhs), base_moment=float(base), slack=float(slack)
     )
 
 

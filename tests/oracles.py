@@ -11,6 +11,10 @@ Rates are explicit parameters: the scenery walk has total rate 1, while the
 time-change representation of the layered walk needs component walks with
 per-edge rate 1 (total rate 2 vertically, 2d transversally).
 
+``transition_prob_mc`` estimates p_t(0, x) by endpoint frequencies of the
+kernels' jump skeletons, the Monte Carlo check of the Bessel series
+``montecarlo.log_transition_prob``.
+
 ``TableField`` is the explicit-table scenery of the hand-computed examples,
 ``box_max`` the maximum of a field over a ball, ``detour_full_margin``
 the single-detour search over its whole margin box, and
@@ -29,6 +33,7 @@ from scipy.special import ive
 
 from scenerywalk import _kernels
 from scenerywalk.scenery import box_sites, grid_sites
+from scenerywalk.stats import TailEstimate, tail_estimate
 
 
 class InsufficientHorizonError(RuntimeError):
@@ -191,6 +196,28 @@ def simulate_srw(dim: int, total_rate: float, horizon: float, rng: np.random.Gen
     steps[np.arange(n), coords] = signs
     sites = np.cumsum(steps, axis=0)
     return WalkPath(dim=dim, start=(0,) * dim, jump_times=np.array(times), sites=sites, horizon=horizon)
+
+
+def transition_prob_mc(
+    dim: int, total_rate: float, t: float, x, replicas: int, rng: np.random.Generator
+) -> TailEstimate:
+    """Unbiased frequency estimate of p_t(0, x) with a Wilson interval.
+
+    Simulates the jump skeleton (Poisson jump count, uniform neighbour
+    choices) and counts endpoint hits, so it is an independent check of
+    :func:`log_transition_prob`.
+    """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if t <= 0:
+        raise ValueError("t must be positive")
+    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
+    if x.size != dim:
+        raise ValueError(f"x must have {dim} coordinates")
+    hits = 0
+    for _, pos, live in _kernels.skeletons(dim, total_rate, t, replicas, rng):
+        hits += int(np.sum(np.all(_kernels.endpoints(pos, live) == x, axis=-1)))
+    return tail_estimate(hits, replicas)
 
 
 def simulate_vsrw(field, horizon: float, rng: np.random.Generator) -> WalkPath:

@@ -365,6 +365,124 @@ class TestOutsideInput:
         assert "config must be a JSON object" in capsys.readouterr().err
 
 
+#: a valid, cheap run of each simulate task
+_TASK_RUN = {
+    "lln": ["--alpha", "2", "--t-grid", "100"],
+    "scaling": ["--alpha", "0.8", "--t-grid", "10:100:5"],
+    "tail-scan": ["--alpha", "0.5", "--rho", "1.2", "--t-grid", "100"],
+    "chen": ["--alpha", "2", "--t-grid", "100"],
+    "khasminskii": ["--alpha", "2", "--t-grid", "100"],
+}
+#: the flags of each task besides alpha, dim, t-grid, replicas, seed and format
+_TASK_FLAGS = {
+    "lln": (),
+    "scaling": ("quantile", "jobs"),
+    "tail-scan": ("rho", "delta", "gamma", "jobs"),
+    "chen": ("b_value",),
+    "khasminskii": ("moment",),
+}
+_FLAG_VALUE = {
+    "rho": "1.2", "delta": "0.4", "gamma": "0.1", "jobs": "2",
+    "quantile": "0.9", "b_value": "3", "moment": "3",
+}
+_UNREAD = [
+    (task, flag)
+    for task, flags in _TASK_FLAGS.items()
+    for flag in _FLAG_VALUE
+    if flag not in flags
+]
+
+
+def _simulate(task, *extra):
+    run = ["--dim", "1", "--replicas", "10", "--seed", "1"]
+    return ["simulate", task, *_TASK_RUN[task], *run, *extra]
+
+
+class TestEveryOptionIsRead:
+    """A flag or config key that a command or task does not read is a usage error."""
+
+    @pytest.mark.parametrize("task, flag", _UNREAD, ids=[f"{t}-{f}" for t, f in _UNREAD])
+    def test_flag_the_task_does_not_read_exits_2(self, capsys, task, flag):
+        name = "--" + flag.replace("_", "-")
+        assert run_cli(_simulate(task, name, _FLAG_VALUE[flag])) == (2, "")
+        assert f"unrecognized arguments: {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, extra",
+        [("scaling", ["--quantile", "0.9", "--jobs", "2"]), ("tail-scan", ["--jobs", "2"]),
+         ("chen", ["--b-value", "3"]), ("khasminskii", ["--moment", "3"])],
+    )
+    def test_each_flag_of_the_task_is_taken(self, task, extra):
+        code, out = run_cli(_simulate(task, *extra))
+        assert code == 0 and out
+
+    @pytest.mark.parametrize(
+        "model, unread",
+        [(["--rho", "1.2"], "gamma"), (["--delta", "0.4"], "rho")],
+        ids=["rwrs", "rcm"],
+    )
+    def test_tail_scan_flag_its_model_does_not_read_exits_2(self, capsys, model, unread):
+        args = ["simulate", "tail-scan", "--alpha", "0.5", "--dim", "1", "--t-grid", "100", *model]
+        assert run_cli(args + ["--replicas", "10", "--" + unread, "0.1"]) == (2, "")
+        assert f"tail-scan does not read --{unread}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, key, value",
+        [("lln", "quantile", 0.9), ("scaling", "rho", 1.2), ("chen", "moment", 3),
+         ("khasminskii", "b_value", 3.0), ("tail-scan", "quantile", 0.9)],
+    )
+    def test_config_key_of_another_task_exits_2(self, tmp_path, capsys, task, key, value):
+        cfg = tmp_path / "other.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(_simulate(task, "--config", str(cfg))) == (2, "")
+        assert f"config fields not read by simulate {task}: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        assert run_cli(_simulate("scaling", "--jobs", jobs)) == (2, "")
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_config_jobs_below_one_exits_2(self, tmp_path, jobs):
+        cfg = tmp_path / "jobs.json"
+        cfg.write_text(json.dumps({"jobs": jobs}))
+        assert run_cli(_simulate("tail-scan", "--config", str(cfg))) == (2, "")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "lln", "--alpha", "2,5", "--t-grid", "100", "--replicas", "10"],
+            ["simulate", "tail-scan", "--alpha", "0.5", "--rho", "1.2,1.3", "--t-grid", "100",
+             "--replicas", "10"],
+            ["simulate", "tail-scan", "--alpha", "0.5", "--delta", "0.4:0.5:2", "--t-grid", "100",
+             "--replicas", "10"],
+            ["simulate", "tail-scan", "--alpha", "0.5", "--delta", "0.4", "--gamma", "0.1,0.2",
+             "--t-grid", "100", "--replicas", "10"],
+            ["chemdist", "--alpha", "1,2", "--delta", "1", "--t-grid", "10:1000:5"],
+            ["chemdist", "--alpha", "1", "--delta", "1,1.2", "--t-grid", "10:1000:5"],
+            ["chemdist", "--alpha", "1", "--delta", "1", "--gamma", "0,0.2", "--t-grid", "10:1000:5"],
+            ["exponents", "--which", "displacement", "--alpha", "1", "--delta", "0.5",
+             "--gamma", "0.5,0.7"],
+        ],
+        ids=["sim-alpha", "sim-rho", "sim-delta", "sim-gamma", "chem-alpha", "chem-delta",
+             "chem-gamma", "exp-gamma"],
+    )
+    def test_grid_given_to_a_value_flag_exits_2(self, capsys, args):
+        assert run_cli(args + ["--dim", "1"]) == (2, "")
+        assert "takes one value, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "which, flag, value",
+        [("p", "delta", "1"), ("p", "gamma", "0.5"), ("q", "rho", "1.5"), ("q", "gamma", "0.5"),
+         ("displacement", "rho", "1.5")],
+    )
+    def test_exponents_flag_the_table_does_not_read_exits_2(self, capsys, which, flag, value):
+        x = {"p": ["--rho", "1.5"], "q": ["--delta", "1"], "displacement": ["--delta", "1"]}[which]
+        args = ["exponents", "--which", which, "--alpha", "1", "--dim", "1", *x]
+        assert run_cli(args + ["--" + flag, value]) == (2, "")
+        assert f"--which {which} does not read --{flag}" in capsys.readouterr().err
+
+
 class TestChemdistCommand:
     def test_scaling_run(self, tmp_path):
         out_file = tmp_path / "chem.json"

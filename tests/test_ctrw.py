@@ -13,9 +13,10 @@ from oracles import (
     simulate_srw,
     simulate_vsrw,
     time_change_compose,
+    transition_prob_mc,
 )
 from scenerywalk.calibration import CALIBRATION
-from scenerywalk.montecarlo import log_transition_prob, transition_prob_mc
+from scenerywalk.montecarlo import log_transition_prob
 from scenerywalk.scenery import ConstantField, JumpBudgetError, SceneryField
 from scenerywalk.streams import philox
 

@@ -26,12 +26,6 @@ _CASES = {
     "lln override d2": lambda: montecarlo.lln_check(0.5, 2, 100.0, 300, seed=12, law_override=3.0),
     "scaling d1": lambda: montecarlo.scaling_exponent_estimate(0.8, 1, _GRID5, 200, 0.5, seed=13),
     "scaling d2": lambda: montecarlo.scaling_exponent_estimate(0.8, 2, _GRID5, 200, 0.5, seed=13),
-    "scaling override d1": lambda: montecarlo.scaling_exponent_estimate(
-        2.0, 1, _GRID5, 100, 0.5, seed=14, law_override=2.0
-    ),
-    "scaling override d2": lambda: montecarlo.scaling_exponent_estimate(
-        2.0, 2, _GRID5, 100, 0.5, seed=14, law_override=2.0
-    ),
     "rwrs scan d1": lambda: montecarlo.tail_prob_scan(
         "rwrs", 0.5, 1, [100.0, 400.0], 500, seed=15, rho=1.2
     ),
@@ -48,12 +42,6 @@ _CASES = {
     "chen d2": lambda: montecarlo.chen_verify(2, 100.0, 3.0, 5000, seed=17),
     "khasminskii d1": lambda: montecarlo.khasminskii_verify(1, 50.0, 2, 3000, seed=18),
     "khasminskii d2": lambda: montecarlo.khasminskii_verify(2, 50.0, 3, 3000, seed=18),
-    "khasminskii two sites d1": lambda: montecarlo.khasminskii_verify(
-        1, 30.0, 2, 3000, seed=19, sites=[(0,), (2,)]
-    ),
-    "khasminskii two sites d2": lambda: montecarlo.khasminskii_verify(
-        2, 30.0, 2, 3000, seed=19, sites=[(0, 0), (1, -1)]
-    ),
     "local time d1": lambda: montecarlo.local_time_samples(1, 100.0, 3000, seed=20),
     "local time d2": lambda: montecarlo.local_time_samples(2, 100.0, 3000, seed=20, tag=(9, 2)),
     "level occupation d1": lambda: montecarlo.level_mean_occupation(
@@ -83,8 +71,6 @@ _SHA256 = {
     "chen d2": "7610921d4cb2d3c19be5cf9aec607087f8df45c6c8625468739ad245b18932e1",
     "khasminskii d1": "7a07be1ad53a1dcba072be14bc0dfa42bf0de214c9c2809d0bc5d6f5652f6dd5",
     "khasminskii d2": "16e09379556a7f5eaec9a44fef01b0898fa03ad4b3abf367ab7d2e57d4d1e2fe",
-    "khasminskii two sites d1": "4051d561744ff0d8a522f14b6c214290d9b486da9e06e580386b3c0ba6f2559c",
-    "khasminskii two sites d2": "9b9b46c03b175eda55784f6daf2e2e51b03e61abcbd6cba2edfb5dd2b92b90ec",
     "level occupation d1": "4b4060d92f8fed98fca555e23d6b203d8caac243459190b1d45ae2f776606735",
     "level occupation d2": "959b6bb5202bf8e65f17e3b240d6ab13ddcffb96a1f54033f9006b8dc993c6cb",
     "lln d1": "45235f07a543750c5daf24f504d145c86d470a7c1f4c2fa7a0255d99a9acb5f2",
@@ -99,8 +85,6 @@ _SHA256 = {
     "rwrs scan d2": "8499c6080493992d9df68db973aa6ceeab79cce60d3bb50e3e1cd5342a3e6ace",
     "scaling d1": "6b32cfb4c2c619f7c994ace85bde312b3075c82a3254dfc28e66887aa5de928c",
     "scaling d2": "aa775c4bb80694817144cdef569ae4672de173f1a866f4926878492a0fbbb096",
-    "scaling override d1": "91ad3904cb4f75bb4528719c8c87bab964591162e1a3f0dd64b2e6ab891058d4",
-    "scaling override d2": "91ad3904cb4f75bb4528719c8c87bab964591162e1a3f0dd64b2e6ab891058d4",
     "strategy first d1": "5afe824150fe6cb168cb0b7196dbed97281af98b94968a633d269229d2ce6779",
     "strategy first d2": "80e7ee99027a6adb2f346c997a975479ee24d45f3fbe9a7854419003206c5928",
     "strategy second d1": "7d98cd33abc3143290a6de9ba4ea3651feaba896ff2e2f8a38bd694869385ed8",

@@ -43,19 +43,6 @@ class TestLln:
 
 
 class TestScaling:
-    def test_unit_override_slope_exactly_one(self):
-        r = scaling_exponent_estimate(
-            alpha=0.8,
-            dim=1,
-            t_grid=[10, 30, 100, 300, 1000],
-            replicas=128,
-            quantile=0.5,
-            seed=5,
-            law_override=1.0,
-        )
-        assert r.slope == pytest.approx(1.0, abs=1e-12)
-        assert r.reference == 1.0
-
     def test_one_sided_bound_d2(self):
         r = scaling_exponent_estimate(
             alpha=0.8,
@@ -220,10 +207,6 @@ class TestKhasminskii:
         assert not rep.violated
         assert rep.lhs <= rep.rhs
 
-    def test_multi_site_support(self):
-        rep = khasminskii_verify(1, 30.0, 2, 20_000, seed=16, sites=[(0,), (2,)])
-        assert not rep.violated
-
     def test_moment_order_validation(self):
         with pytest.raises(ValueError):
             khasminskii_verify(1, 10.0, 5, 100, seed=0)
@@ -233,13 +216,6 @@ class TestKhasminskii:
         monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
         with pytest.raises(ValueError, match="replicas must be >= 2"):
             khasminskii_verify(1, 100.0, 2, 1, seed=0)
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_empty_site_set_refused_before_any_draw(self, monkeypatch, m):
-        # with no site, lhs = -inf can never exceed rhs, so nothing could fail
-        monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
-        with pytest.raises(ValueError, match="at least one site"):
-            khasminskii_verify(1, 30.0, m, 100, seed=1, sites=[])
 
 
 class TestLevelOccupation:

@@ -16,10 +16,16 @@ Everything is seeded, so reruns reproduce the same numbers.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from scenerywalk import montecarlo
 from scenerywalk.streams import philox
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import transition_prob_mc  # noqa: E402  the test oracle of p_t(0, x)
 
 MASTER = 20240617
 
@@ -37,7 +43,7 @@ def fit_hk_constants() -> dict:
     for t in (10.0, 100.0):
         for x in range(0, int(2 * t) + 1, max(1, int(t) // 10)):
             rng = philox(MASTER, 17, int(t), x)
-            est = montecarlo.transition_prob_mc(1, 1.0, t, [x], 400_000, rng)
+            est = transition_prob_mc(1, 1.0, t, [x], 400_000, rng)
             if est.ci_low > 0:
                 rows.append((t, x, est))
     gauss = [(t, x, e) for t, x, e in rows if x <= t]
