@@ -258,27 +258,17 @@ def additive_functional_batch(
 
 
 def occupation_batch(
-    dim: int,
-    rate: float,
-    t: float,
-    master_seed: int,
-    count: int,
-    tag,
-    indicator,
-    start=None,
+    dim: int, rate: float, t: float, master_seed: int, count: int, tag, indicator
 ) -> np.ndarray:
     """Occupation times int_0^t f(S_u) du per replica for an indicator f.
 
-    ``indicator(pos)`` maps the (rows, m, dim) position array to sojourn
-    weights in {0, 1}; ``start`` shifts the walk's starting site.  A row whose
-    N+1 sojourns include k in the set gets t Beta(k, N+1-k): exactly 0 when
+    ``indicator(pos)`` maps the (rows, m, dim) position array of the walk
+    started at the origin to sojourn weights in {0, 1}.  A row whose N+1
+    sojourns include k in the set gets t Beta(k, N+1-k): exactly 0 when
     k = 0 and exactly t when k = N+1.
     """
     out = np.empty(count)
-    shift = None if start is None else np.asarray(start, dtype=np.int32).reshape(1, 1, dim)
     for rows, rng, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
-        if shift is not None:
-            pos = pos + shift
         hits = np.logical_and(indicator(pos), live).sum(axis=1)
         sojourns = live.sum(axis=1)
         share = (hits == sojourns).astype(np.float64)

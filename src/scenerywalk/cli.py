@@ -4,9 +4,9 @@ Subcommands: ``exponents`` (phase-diagram tables), ``simulate <task>`` (Monte
 Carlo estimators, one subcommand per task), ``chemdist`` (distance scaling
 fits) and ``verify`` (acceptance suites), each taking only the flags it
 reads; a flag or config key that it does not read is a usage error.
-Configuration can come from a JSON file (--config): flags win over file
-values, and file values over the defaults; the master seed falls back to the
-``SCENERYWALK_SEED`` environment variable.
+Configuration can come from a JSON file (--config) whose keys are the flag
+names: flags win over file values, and file values over the defaults.
+Nothing else is read, not even the environment.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, budget
 refusal (site or jump budget) or an output file that cannot be written, 3
@@ -17,49 +17,60 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 import numpy as np
 
 from . import __version__, chemdist, exponents, montecarlo, reporting, verify
 from .montecarlo import StretchedRegimeError
-from .scenery import JumpBudgetError, SceneryField, SiteBudgetError
+from .scenery import JumpBudgetError, SiteBudgetError
 
 #: exponents table kind -> the x flag it tabulates over, then the other flags it reads
 _TABLES = {"p": ("rho",), "q": ("delta",), "displacement": ("delta", "gamma")}
+
+
+def finite(text) -> float:
+    """A float flag value that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
 
 #: flag name -> add_argument keywords; a default is applied only after the
 #: config file is read, so that it cannot override a file value
 _FLAGS = {
     "config": dict(help="JSON config file; explicit flags win"),
     "alpha": dict(help="tail index alpha (exponents: a grid, list or lo:hi:n)"),
-    "dim": dict(type=int, help="lattice dimension d"),
+    "dim": dict(type=int, help="lattice dimension d (>= 1)"),
     "rho": dict(help="deviation exponent rho (exponents: a grid)"),
     "delta": dict(help="vertical displacement exponent delta (exponents: a grid)"),
     "gamma": dict(help="transverse displacement exponent gamma"),
     "t_grid": dict(help="time grid, list or lo:hi:n (geometric)"),
     "replicas": dict(type=int, help="Monte Carlo replicas"),
-    "seed": dict(type=int, help="master seed (env SCENERYWALK_SEED fallback)"),
+    "seed": dict(type=int, default=0, help="master seed in [0, 2^64) (default 0)"),
     "out": dict(help="output path (default stdout, write-once)"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "jobs": dict(type=int, help="parallel evaluation slots (>= 1)"),
     "which": dict(choices=tuple(_TABLES), help="table kind"),
-    "quantile": dict(type=float, default=0.5),
-    "b_value": dict(type=float, default=5.0),
+    "quantile": dict(type=finite, default=0.5),
+    "b_value": dict(type=finite, default=5.0),
     "moment": dict(type=int, default=2),
     "seeds": dict(type=int, default=20, help="number of environments"),
     "suite": dict(default="all", help="comma list of suite names or 'all'"),
 }
 
 #: flags every simulate task reads
-_SIM_COMMON = ("alpha", "dim", "t_grid", "replicas", "seed", "format")
+_SIM_COMMON = ("dim", "t_grid", "replicas", "seed", "format")
 
 #: simulate task -> (help, flags it reads besides _SIM_COMMON, single horizon)
 _TASKS = {
-    "lln": ("sample mean of A_t/t against the scenery mean", (), True),
-    "scaling": ("log-log slope of a quantile of A_t", ("quantile", "jobs"), False),
-    "tail-scan": ("polynomial-regime tail frequencies", ("rho", "delta", "gamma", "jobs"), False),
+    "lln": ("sample mean of A_t/t against the scenery mean", ("alpha",), True),
+    "scaling": ("log-log slope of a quantile of A_t", ("alpha", "quantile", "jobs"), False),
+    "tail-scan": (
+        "polynomial-regime tail frequencies", ("alpha", "rho", "delta", "gamma", "jobs"), False
+    ),
     "chen": ("Chen-type tail bound on l_t(0)", ("b_value",), True),
     "khasminskii": ("factorial moment bound on l_t(0)", ("moment",), True),
 }
@@ -68,28 +79,29 @@ _TASKS = {
 def _parse_grid(text, geometric: bool) -> list[float]:
     """Parse "a,b,c" lists or "lo:hi:n" ranges (geometric for t grids).
 
-    Config files may supply plain numbers or lists instead of strings.
+    Config files may supply plain numbers or lists instead of strings. Every
+    value must be finite, and a time grid's (``geometric``) also > 0.
     """
     if isinstance(text, (int, float)):
-        return [float(text)]
+        text = [text]
     if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    text = text.strip()
-    if not text:
+        values = [float(v) for v in text]
+    elif not text.strip():
         raise ValueError("empty grid")
-    if ":" in text:
+    elif ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range syntax is lo:hi:n, got {text!r}")
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 1 or min(lo, hi) <= 0 and geometric:
             raise ValueError(f"bad range {text!r}")
-        if n == 1:
-            return [lo]
-        if geometric:
-            return list(np.geomspace(lo, hi, n))
-        return list(np.linspace(lo, hi, n))
-    return [float(v) for v in text.split(",")]
+        values = [lo] if n == 1 else list((np.geomspace if geometric else np.linspace)(lo, hi, n))
+    else:
+        values = [float(v) for v in text.split(",")]
+    if not all(math.isfinite(v) and (v > 0 or not geometric) for v in values):
+        need = "finite and > 0" if geometric else "finite"
+        raise ValueError(f"grid values must be {need}, got {text!r}")
+    return values
 
 
 #: values of a flag that count as leaving it out
@@ -151,9 +163,9 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill flags left unset from the --config file, then from the defaults.
 
     A config may set only the flags its subcommand (or simulate task)
-    takes, plus a ``field`` record where it takes --alpha, --dim and --seed.
-    A file value goes through its flag's ``type`` and ``choices``; flags
-    without a type (the grids and values) also take numbers and lists.
+    takes, each under its flag's name.  A file value goes through its flag's
+    ``type`` and ``choices``; flags without a type (the grids and values)
+    also take numbers and lists.  A --dim or --jobs below 1 is refused.
     """
     flags = set(vars(args)) - {"command", "task", "config"}
     cfg = {}
@@ -165,20 +177,10 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
             parser.error(f"cannot read config: {exc}")
         if not isinstance(cfg, dict):
             parser.error(f"config must be a JSON object, got {type(cfg).__name__}")
-    allowed = flags | ({"field"} if {"alpha", "dim", "seed"} <= flags else set())
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - flags
     if unknown:
         name = " ".join(filter(None, (args.command, getattr(args, "task", None))))
         parser.error(f"config fields not read by {name}: {sorted(unknown)}")
-    if "field" in cfg:
-        # scenery description record {alpha, dim, seed, law}
-        try:
-            fld = SceneryField.from_config(cfg.pop("field"))
-        except (ValueError, KeyError, TypeError) as exc:
-            parser.error(f"bad field record: {exc}")
-        cfg.setdefault("alpha", fld.alpha)
-        cfg.setdefault("dim", fld.dim)
-        cfg.setdefault("seed", fld.seed)
     for key in flags:
         if getattr(args, key) is not None:
             continue
@@ -186,17 +188,20 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
             setattr(args, key, _config_value(key, cfg[key], parser))
         else:
             setattr(args, key, _FLAGS[key].get("default"))
+    for key in ("dim", "jobs"):
+        value = getattr(args, key, None)
+        if value is not None and value < 1:
+            parser.error(f"--{key} must be >= 1, got {value}")
 
 
 def _master_seed(args, parser: argparse.ArgumentParser) -> int:
-    """Master seed from --seed, the config or ``SCENERYWALK_SEED`` (else 0).
+    """Master seed from --seed or the config (else 0).
 
     A seed outside [0, 2^64) is refused: the 64-bit Philox key would wrap it.
     """
-    seed = int(args.seed if args.seed is not None else os.environ.get("SCENERYWALK_SEED", 0))
-    if not 0 <= seed < 2**64:
-        parser.error(f"seed must lie in [0, 2^64), got {seed}")
-    return seed
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"seed must lie in [0, 2^64), got {args.seed}")
+    return args.seed
 
 
 def _emit(args, header, rows, payload) -> None:
@@ -221,7 +226,7 @@ def _cmd_exponents(args, parser) -> int:
         parser.error(f"--which {which} needs --{flag}")
     xs = _parse_grid(x_text, geometric=False)
     gamma = _scalar(args, "gamma", 0.0)
-    rows = exponents.phase_diagram(alphas, xs, which.upper(), args.dim, gamma=gamma)
+    rows = exponents.phase_diagram(alphas, xs, which, args.dim, gamma=gamma)
     prov = reporting.provenance_string(
         {
             "cmd": "exponents",
@@ -248,11 +253,11 @@ def _cmd_simulate(args, parser) -> int:
     seed = _master_seed(args, parser)
     if args.replicas is None or args.replicas < 1:
         parser.error("simulate needs --replicas >= 1")
-    if args.alpha in _UNSET or args.dim is None:
-        parser.error("simulate needs --alpha and --dim")
+    if args.dim is None:
+        parser.error(f"{args.task} needs --dim")
+    if "alpha" in args and args.alpha in _UNSET:
+        parser.error(f"{args.task} needs --alpha")
     jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {jobs}")
     alpha = _scalar(args, "alpha")
     dim = args.dim
     t_grid = _parse_grid(args.t_grid, geometric=True) if args.t_grid else None

@@ -357,13 +357,13 @@ def _q_boundaries(alpha: float, dim: int) -> list[float]:
 def phase_diagram(alpha_grid, x_grid, which: str, dim: int, gamma: float = 0.0) -> list[tuple]:
     """Tabulate an exponent over (alpha, x) grids for plotting.
 
-    ``which`` is one of "P" (x = rho), "Q" (x = delta) or "Displacement"
-    (x = delta at fixed gamma).  Rows are (alpha, x, value, regime) with
-    value None on marker regimes; for each alpha the regime boundary points
-    are appended as extra rows labelled "boundary:...".
+    ``which`` is one of "p" (x = rho), "q" (x = delta) or "displacement"
+    (x = delta at fixed gamma), the table kinds of the CLI.  Rows are
+    (alpha, x, value, regime) with value None on marker regimes; for each
+    alpha the regime boundary points are appended as extra rows labelled
+    "boundary:...".
     """
-    which = which.upper()
-    if which not in ("P", "Q", "DISPLACEMENT"):
+    if which not in ("p", "q", "displacement"):
         raise ValueError(f"unknown phase diagram kind {which!r}")
     alpha_grid = [float(a) for a in alpha_grid]
     x_grid = [float(x) for x in x_grid]
@@ -373,7 +373,7 @@ def phase_diagram(alpha_grid, x_grid, which: str, dim: int, gamma: float = 0.0) 
     for a in alpha_grid:
         for x in x_grid:
             rows.append(_phase_row(a, x, which, dim, gamma))
-        bounds = _p_boundaries(a, dim) if which == "P" else _q_boundaries(a, dim)
+        bounds = _p_boundaries(a, dim) if which == "p" else _q_boundaries(a, dim)
         for b in bounds:
             alpha_, x_, value, regime = _phase_row(a, b, which, dim, gamma)
             rows.append((alpha_, x_, value, f"boundary:{regime}"))
@@ -381,6 +381,6 @@ def phase_diagram(alpha_grid, x_grid, which: str, dim: int, gamma: float = 0.0) 
 
 
 def _phase_row(alpha: float, x: float, which: str, dim: int, gamma: float) -> tuple:
-    r = p_exponent(alpha, x, dim) if which == "P" else q_closed_form(alpha, x, dim)
-    value = displacement_exponent(alpha, x, gamma, dim) if which == "DISPLACEMENT" else r.value
+    r = p_exponent(alpha, x, dim) if which == "p" else q_closed_form(alpha, x, dim)
+    value = displacement_exponent(alpha, x, gamma, dim) if which == "displacement" else r.value
     return (alpha, x, value, r.regime)

@@ -188,8 +188,8 @@ def scaling_exponent_estimate(
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 5:
         raise ValueError("t_grid must be geometric with at least 5 points")
-    if alpha > 1:
-        raise ValueError("scaling_exponent_estimate covers the alpha <= 1 range")
+    if not 0 < alpha <= 1:
+        raise ValueError("scaling_exponent_estimate covers the 0 < alpha <= 1 range")
     if not 0 < quantile < 1:
         raise ValueError("quantile must be in (0, 1)")
 
@@ -613,7 +613,7 @@ def level_mean_occupation(
         if dim >= 2 and not k_eps > eta / alpha:
             raise ValueError(f"d>=2 hypothesis needs k_eps > eta/alpha = {eta / alpha}")
     t_grid = [float(t) for t in t_grid]
-    starts = box_sites(box_radius, dim)
+    starts = box_sites(box_radius, dim).astype(np.int32)
     means = []
     for ti, t in enumerate(t_grid):
         horizon = t**eta
@@ -621,7 +621,6 @@ def level_mean_occupation(
         per_seed = []
         for si, fseed in enumerate(seeds):
             fld = SceneryField(alpha=alpha, dim=dim, seed=int(fseed))
-            indicator = lambda pos: _kernels.field_values_at(fld, pos) >= thr
             best = -np.inf
             for xi, x in enumerate(starts):
                 occ = _kernels.occupation_batch(
@@ -631,8 +630,7 @@ def level_mean_occupation(
                     master_seed,
                     replicas,
                     tag=(_KEY_LEVEL, ti, si, xi),
-                    indicator=indicator,
-                    start=x,
+                    indicator=lambda pos: _kernels.field_values_at(fld, pos + x) >= thr,
                 )
                 best = max(best, float(occ.mean()))
             per_seed.append(best)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -33,9 +32,6 @@ _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MUL2 = np.uint64(0x94D049BB133111EB)
-
-#: Reference marginal law implemented by :class:`SceneryField`.
-PARETO_EXACT = "ParetoExact"
 
 #: Enumeration guard above which :func:`grid_sites` refuses to materialise a box.
 SITE_BUDGET = 1 << 24
@@ -119,17 +115,6 @@ class SceneryField:
         if sites.shape[-1] != self.dim:
             raise ValueError(f"expected sites with last axis {self.dim}, got {sites.shape}")
         return pareto_from_uniform(site_uniforms(np.uint64(self.seed), sites), self.alpha)
-
-    @classmethod
-    def from_config(cls, record: Mapping) -> "SceneryField":
-        """Field of a config record {alpha, dim, seed, law}; a given law must be ParetoExact."""
-        extra = set(record) - {"alpha", "dim", "seed", "law"}
-        if extra:
-            raise ValueError(f"unknown field-config keys: {sorted(extra)}")
-        law = record.get("law", PARETO_EXACT)
-        if law != PARETO_EXACT:
-            raise ValueError(f"unsupported scenery law {law!r}")
-        return cls(alpha=float(record["alpha"]), dim=int(record["dim"]), seed=int(record["seed"]))
 
 
 @dataclass(frozen=True)

@@ -296,10 +296,10 @@ def check_determinism():
 
     r1 = montecarlo.lln_check(alpha=2.0, dim=1, t=100.0, replicas=512, seed=909)
     r2 = montecarlo.lln_check(alpha=2.0, dim=1, t=100.0, replicas=512, seed=909)
-    rows = exponents.phase_diagram([1.0], [1.5], "P", 1)
+    rows = exponents.phase_diagram([1.0], [1.5], "p", 1)
     csv1 = reporting.render_csv(("alpha", "x", "value", "regime"), rows)
     csv2 = reporting.render_csv(
-        ("alpha", "x", "value", "regime"), exponents.phase_diagram([1.0], [1.5], "P", 1)
+        ("alpha", "x", "value", "regime"), exponents.phase_diagram([1.0], [1.5], "p", 1)
     )
     payload = {"mean": r1.mean, "stderr": r1.stderr, "seed": 909}
     json1 = reporting.render_json(payload)

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from scenerywalk import reporting
+from scenerywalk import cli, reporting
 from scenerywalk.cli import main
 
 
@@ -167,24 +170,12 @@ class TestSimulateCommand:
         )
         assert code == 3
 
-    def test_env_seed_fallback(self, tmp_path):
-        args = [
-            "simulate",
-            "lln",
-            "--alpha",
-            "2",
-            "--dim",
-            "1",
-            "--t-grid",
-            "100",
-            "--replicas",
-            "128",
-            "--format",
-            "json",
-        ]
+    def test_environment_does_not_set_the_seed(self, tmp_path):
+        args = ["simulate", "lln", "--alpha", "2", "--dim", "1", "--t-grid", "100"]
+        args += ["--replicas", "128", "--format", "json"]
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(args + ["--out", str(f1)], env={"SCENERYWALK_SEED": "77"})[0] == 0
-        assert run_cli(args + ["--out", str(f2), "--seed", "77"])[0] == 0
+        assert run_cli(args + ["--out", str(f2), "--seed", "0"])[0] == 0
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -344,9 +335,6 @@ class TestOutsideInput:
     def test_largest_seed_accepted(self):
         assert run_cli(self._LLN + ["--seed", str(2**64 - 1)])[0] == 0
 
-    def test_env_seed_outside_64_bits_refused(self):
-        assert run_cli(self._LLN, env={"SCENERYWALK_SEED": "-1"})[0] == 2
-
     def test_config_seed_outside_64_bits_refused(self, tmp_path):
         cfg = tmp_path / "seed.json"
         cfg.write_text(json.dumps({"seed": 2**64}))
@@ -356,6 +344,59 @@ class TestOutsideInput:
         args = ["chemdist", "--alpha", "1", "--dim", "1", "--delta", "1", "--t-grid", "10:1000:5"]
         assert run_cli(args + ["--seed", "-1"])[0] == 2
         assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "lln", "--alpha", "2", "--t-grid", "0"], "must be finite and > 0"),
+            (["simulate", "khasminskii", "--t-grid", "0"], "must be finite and > 0"),
+            (["simulate", "tail-scan", "--alpha", "0.5", "--rho", "1.2", "--t-grid", "0,100"],
+             "must be finite and > 0"),
+            (["simulate", "lln", "--alpha", "2", "--t-grid", "inf"], "must be finite and > 0"),
+            (["simulate", "lln", "--alpha", "nan", "--t-grid", "100"], "must be finite, got 'nan'"),
+            (["exponents", "--which", "q", "--alpha", "nan", "--delta", "1"], "must be finite"),
+            (["chemdist", "--alpha", "1", "--delta", "1", "--t-grid", "10:1000:5", "--dim", "0"],
+             "--dim must be >= 1, got 0"),
+            (["simulate", "lln", "--alpha", "2", "--t-grid", "100", "--dim", "0"],
+             "--dim must be >= 1, got 0"),
+            (["exponents", "--alpha", "1", "--rho", "1.5", "--dim", "0"], "--dim must be >= 1"),
+            (["simulate", "scaling", "--alpha", "0", "--t-grid", "10:100:5"], "0 < alpha <= 1"),
+            (["simulate", "scaling", "--alpha", "-1", "--t-grid", "10:100:5"], "0 < alpha <= 1"),
+        ],
+        ids=["lln-t-0", "khasminskii-t-0", "tail-scan-t-0", "lln-t-inf", "lln-alpha-nan",
+             "exponents-alpha-nan", "chemdist-dim-0", "simulate-dim-0", "exponents-dim-0",
+             "scaling-alpha-0", "scaling-alpha-negative"],
+    )
+    def test_outside_number_refused_with_exit_2(self, capsys, args, message):
+        dim = [] if "--dim" in args else ["--dim", "1"]
+        replicas = ["--replicas", "10"] if args[0] == "simulate" else []
+        assert run_cli(args + dim + replicas) == (2, "")
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "scaling", "--alpha", "0.8", "--t-grid", "10:100:5", "--quantile", "nan"],
+            ["simulate", "chen", "--t-grid", "100", "--b-value", "inf"],
+        ],
+        ids=["quantile", "b-value"],
+    )
+    def test_non_finite_value_flag_refused(self, capsys, args):
+        assert run_cli(args + ["--dim", "1", "--replicas", "10"]) == (2, "")
+        assert "invalid finite value" in capsys.readouterr().err
+
+    def test_config_time_grid_list_needs_positive_values(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"t_grid": [0, 100]}))
+        args = ["simulate", "tail-scan", "--alpha", "0.5", "--rho", "1.2", "--dim", "1"]
+        assert run_cli(args + ["--replicas", "10", "--config", str(cfg)]) == (2, "")
+        assert "grid values must be finite and > 0, got [0, 100]" in capsys.readouterr().err
+
+    def test_lln_needs_alpha(self, capsys):
+        args = ["simulate", "lln", "--dim", "1", "--t-grid", "100", "--replicas", "10"]
+        assert run_cli(args) == (2, "")
+        assert "lln needs --alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [5, [["alpha", 1]], ["alpha"], "alpha"])
     def test_config_not_an_object_refused(self, tmp_path, capsys, payload):
@@ -370,19 +411,19 @@ _TASK_RUN = {
     "lln": ["--alpha", "2", "--t-grid", "100"],
     "scaling": ["--alpha", "0.8", "--t-grid", "10:100:5"],
     "tail-scan": ["--alpha", "0.5", "--rho", "1.2", "--t-grid", "100"],
-    "chen": ["--alpha", "2", "--t-grid", "100"],
-    "khasminskii": ["--alpha", "2", "--t-grid", "100"],
+    "chen": ["--t-grid", "100"],
+    "khasminskii": ["--t-grid", "100"],
 }
-#: the flags of each task besides alpha, dim, t-grid, replicas, seed and format
+#: the flags of each task besides dim, t-grid, replicas, seed and format
 _TASK_FLAGS = {
-    "lln": (),
-    "scaling": ("quantile", "jobs"),
-    "tail-scan": ("rho", "delta", "gamma", "jobs"),
+    "lln": ("alpha",),
+    "scaling": ("alpha", "quantile", "jobs"),
+    "tail-scan": ("alpha", "rho", "delta", "gamma", "jobs"),
     "chen": ("b_value",),
     "khasminskii": ("moment",),
 }
 _FLAG_VALUE = {
-    "rho": "1.2", "delta": "0.4", "gamma": "0.1", "jobs": "2",
+    "alpha": "2", "rho": "1.2", "delta": "0.4", "gamma": "0.1", "jobs": "2",
     "quantile": "0.9", "b_value": "3", "moment": "3",
 }
 _UNREAD = [
@@ -481,6 +522,85 @@ class TestEveryOptionIsRead:
         args = ["exponents", "--which", which, "--alpha", "1", "--dim", "1", *x]
         assert run_cli(args + ["--" + flag, value]) == (2, "")
         assert f"--which {which} does not read --{flag}" in capsys.readouterr().err
+
+
+#: a cheap run of each simulate task (tail-scan once per model) and, for each
+#: flag it takes besides --jobs and --format, another value that moves its numbers
+_MOVE_BASE = {"dim": "1", "replicas": "100", "seed": "1"}
+_MOVE_OTHER = {"dim": "2", "replicas": "300", "seed": "2"}
+_MOVES = {
+    "lln": ("lln", {"alpha": "2", "t_grid": "100"}, {"alpha": "3", "t_grid": "200"}),
+    "scaling": (
+        "scaling",
+        {"alpha": "0.8", "t_grid": "10:100:5"},
+        {"alpha": "0.6", "t_grid": "20:200:5", "quantile": "0.9"},
+    ),
+    "tail-scan-rwrs": (
+        "tail-scan",
+        {"alpha": "0.5", "rho": "1.45", "t_grid": "1000"},
+        {"alpha": "0.45", "rho": "1.4", "t_grid": "2000"},
+    ),
+    "tail-scan-rcm": (
+        "tail-scan",
+        {"alpha": "0.5", "delta": "0.4", "gamma": "0.1", "t_grid": "4", "replicas": "200"},
+        {"alpha": "0.6", "delta": "0.7", "gamma": "0.5", "t_grid": "8"},
+    ),
+    "chen": ("chen", {"t_grid": "100"}, {"t_grid": "200", "b_value": "3"}),
+    "khasminskii": ("khasminskii", {"t_grid": "100"}, {"t_grid": "200", "moment": "3"}),
+}
+_MOVE_CASES = [
+    pytest.param(task, {**_MOVE_BASE, **base}, flag, value, id=f"{name}-{flag}")
+    for name, (task, base, other) in _MOVES.items()
+    for flag, value in {**_MOVE_OTHER, **other}.items()
+]
+
+
+class TestEveryFlagMovesTheNumbers:
+    """Two runs that differ in one flag of the task differ in more than the provenance."""
+
+    @pytest.mark.parametrize("task, base, flag, value", _MOVE_CASES)
+    def test_flag_changes_the_csv(self, task, base, flag, value):
+        def numbers(flags):
+            argv = [x for f, v in flags.items() for x in ("--" + f.replace("_", "-"), v)]
+            code, out = run_cli(["simulate", task, *argv])
+            assert code == 0
+            return [line.rsplit(",", 1)[0] for line in out.splitlines()]
+
+        assert numbers(base) != numbers({**base, flag: value})
+
+    def test_every_flag_of_every_task_is_moved(self):
+        taken = {
+            (task, flag)
+            for task, (_, flags, _) in cli._TASKS.items()
+            for flag in (*cli._SIM_COMMON, *flags)
+            if flag not in ("jobs", "format")
+        }
+        assert {(case.values[0], case.values[2]) for case in _MOVE_CASES} == taken
+
+
+def _readme_commands():
+    """Every ``scenerywalk …`` line of the README's code blocks, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```", readme, re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [line for line in lines if line.startswith("scenerywalk ")]
+    return [shlex.split(line, comments=True)[1:] for line in commands]
+
+
+_README_COMMANDS = _readme_commands()
+
+
+class TestReadmeExamples:
+    def test_readme_has_examples_of_every_command(self):
+        commands = {argv[0] for argv in _README_COMMANDS}
+        assert commands == {"exponents", "simulate", "chemdist", "verify"}
+        assert {argv[1] for argv in _README_COMMANDS if argv[0] == "simulate"} == set(cli._TASKS)
+
+    @pytest.mark.parametrize(
+        "argv", _README_COMMANDS, ids=[" ".join(argv[:2]) for argv in _README_COMMANDS]
+    )
+    def test_example_parses(self, argv):
+        cli._build_parser().parse_args(argv)
 
 
 class TestChemdistCommand:
@@ -608,29 +728,13 @@ class TestEntryPoint:
 
 
 class TestFieldRecordConfig:
-    def test_field_record_sets_parameters(self, tmp_path):
+    def test_bad_field_record_rejected(self, tmp_path, capsys):
+        # a scenery record is not a config key: --alpha, --dim and --seed are
         cfg = tmp_path / "field.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "field": {"alpha": 2.0, "dim": 1, "seed": 11, "law": "ParetoExact"},
-                    "t_grid": "100",
-                    "replicas": 64,
-                }
-            )
-        )
-        out_file = tmp_path / "o.json"
-        code, _ = run_cli(
-            ["simulate", "lln", "--config", str(cfg), "--format", "json", "--out", str(out_file)]
-        )
-        assert code == 0
-        assert json.loads(out_file.read_text())["seed"] == 11
-
-    def test_bad_field_record_rejected(self, tmp_path):
-        cfg = tmp_path / "field.json"
-        cfg.write_text(json.dumps({"field": {"alpha": 2.0, "law": "Gaussian"}}))
+        cfg.write_text(json.dumps({"field": {"alpha": 2.0, "dim": 1, "seed": 11}}))
         code, _ = run_cli(["simulate", "lln", "--config", str(cfg), "--replicas", "8"])
         assert code == 2
+        assert "config fields not read by simulate lln: ['field']" in capsys.readouterr().err
 
 
 #: tiny invocations whose stdout bytes are pinned (SHA-256) against a
@@ -651,10 +755,9 @@ _PINNED = {
         "simulate", "tail-scan", "--alpha", "0.5", "--delta", "0.4", "--gamma", "0.1",
         "--t-grid", "100,1000", "--replicas", "500", *_SIM,
     ],
-    "chen": ["simulate", "chen", "--alpha", "2", "--t-grid", "100", "--replicas", "2000", *_SIM],
+    "chen": ["simulate", "chen", "--t-grid", "100", "--replicas", "2000", *_SIM],
     "khasminskii": [
-        "simulate", "khasminskii", "--alpha", "2", "--t-grid", "100", "--replicas", "2000",
-        "--moment", "3", *_SIM,
+        "simulate", "khasminskii", "--t-grid", "100", "--replicas", "2000", "--moment", "3", *_SIM,
     ],
     "chemdist": [
         "chemdist", "--alpha", "1", "--delta", "1", "--gamma", "0.2", "--t-grid", "100:1000:5",
@@ -674,16 +777,16 @@ _PINNED = {
 _PINNED_SHA256 = {
     "chemdist csv": "7be803dd84ed8eef003782753ce8c557fce213c4f2827f8633b9a301361d5965",
     "chemdist json": "0dac44978f6e9cf98444428838dce07e209dccf0059ae63ab827fa412c479de2",
-    "chen csv": "4fdfe1ee931d230cd4d9274907aef21eae5c204375e10516fd90251dcaa8765b",
-    "chen json": "1919a6fdd248ac0ef1b1c80c6649038efbc93be55c7b590d7c7ddf152bee006f",
+    "chen csv": "c6bae0f23743497af18e3abe53f09cb9ca37ce887e8b5641fd00363e10751d67",
+    "chen json": "178347b1b65ea27d5c112c5f6fbf8866dd075ca6d6cbcda2758732e6168a5340",
     "exponents-displacement csv": "808418ab538bf1e11a42db47b60a6e9bd9db8666a0e9899c450f448fec7227b7",
     "exponents-displacement json": "9230bf9440d4c30c1641bc49e81ab136d92822e8a446cea22244fb5506ca3959",
     "exponents-p csv": "556d9c9a58bfa7d5cc90bd6e386cad8d103d71c3e5c6dd9752e22fb78b69fe2c",
     "exponents-p json": "897c8b67b7f4d3b5110aebf8cc24175b82e1079a31df2e7c280695abbd6cdd3d",
     "exponents-q csv": "91d28fbd5f18b0b71e1270f61acc2e7ece605cdd9a402f4f36b34dea543dab4a",
     "exponents-q json": "a6f0f6449c090891e3e537014b6863578480e0084262b17239b7f06382f42c10",
-    "khasminskii csv": "5328d78bb742eabc01f74b91aaff52ef30beee32b93ab0cc9cb1eea7278e172b",
-    "khasminskii json": "070ee61eb7e21e6eb7a2ae5f9800057bc4803a774e33c70571e6594502ab2e57",
+    "khasminskii csv": "bd504e22bc3f930a966a15eac24fc25853fa9fd8d6a2cb3b28c0d2084f350d7f",
+    "khasminskii json": "91e7163970aa5e9de8604ab919c7abb89a38f949413a60123962fa9e835a5b1e",
     "lln csv": "6a79576b32ec31de73cbbb834e67eed9b4f76f50ec270294b523053ef5654b7f",
     "lln json": "7cbef04eccb5beeecbad32e35a0fb2fcaf65096c43d3984740d4595a2e8b45da",
     "scaling csv": "c0c7be0463e74da0e8a5bb8fbfa131304a78cc5106f097d9a4c1332e974a45b6",
@@ -710,7 +813,7 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("task", ["chen", "khasminskii"])
     def test_single_replica_verifier_refused(self, capsys, task):
-        args = ["simulate", task, "--alpha", "2", "--t-grid", "100", "--replicas", "1", *_SIM]
+        args = ["simulate", task, "--t-grid", "100", "--replicas", "1", *_SIM]
         assert run_cli(args) == (2, "")
         assert capsys.readouterr().err.endswith("error: replicas must be >= 2\n")
 
@@ -729,8 +832,7 @@ class TestOutputBytes:
         ],
     )
     def test_horizon_usage_errors(self, capsys, task, t_grid, message):
-        code, out = run_cli(
-            ["simulate", task, "--alpha", "2", "--replicas", "20", *_SIM, *t_grid]
-        )
+        alpha = [] if task in ("chen", "khasminskii") else ["--alpha", "2"]
+        code, out = run_cli(["simulate", task, *alpha, "--replicas", "20", *_SIM, *t_grid])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.endswith(f"error: {message}\n")

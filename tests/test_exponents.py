@@ -251,18 +251,18 @@ class TestRangeTail:
 
 class TestPhaseDiagram:
     def test_single_point_rows(self):
-        rows = E.phase_diagram([1.0], [1.5], "P", 1)
+        rows = E.phase_diagram([1.0], [1.5], "p", 1)
         assert (1.0, 1.5, 0.5, "first") in rows
 
     def test_q_boundary_rows_present(self):
         alpha = 1.0
-        rows = E.phase_diagram([alpha], [0.6, 1.0], "Q", 1)
+        rows = E.phase_diagram([alpha], [0.6, 1.0], "q", 1)
         boundary_xs = {r[1] for r in rows if r[3].startswith("boundary:")}
         assert (2 * alpha + 1) / (2 * alpha) in boundary_xs
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            E.phase_diagram([], [1.0], "P", 1)
+            E.phase_diagram([], [1.0], "p", 1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -328,7 +328,7 @@ def _record_occupation_tags(monkeypatch, value):
     """Replace the occupation kernel by a stub returning ``value``; return its tag log."""
     tags = []
 
-    def stub(dim, rate, t, master_seed, count, tag, indicator, start=None):
+    def stub(dim, rate, t, master_seed, count, tag, indicator):
         tags.append(tag if isinstance(tag, tuple) else (tag,))
         return np.full(count, value)
 

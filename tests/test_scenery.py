@@ -119,20 +119,6 @@ class TestMarginalLaw:
         assert abs(np.corrcoef(np.log(a), np.log(b))[0, 1]) < 0.15
 
 
-class TestConfigRecord:
-    def test_round_trip(self):
-        f = SceneryField(alpha=1.5, dim=2, seed=42)
-        assert SceneryField.from_config({"alpha": 1.5, "dim": 2, "seed": 42, "law": "ParetoExact"}) == f
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            SceneryField.from_config({"alpha": 1, "dim": 1, "seed": 0, "law": "ParetoExact", "x": 1})
-
-    def test_unsupported_law_rejected(self):
-        with pytest.raises(ValueError):
-            SceneryField.from_config({"alpha": 1.0, "dim": 1, "seed": 0, "law": "LogNormal"})
-
-
 class TestOverrideFields:
     def test_constant_field(self):
         f = ConstantField(3.0, 2)
