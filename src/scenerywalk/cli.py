@@ -5,7 +5,8 @@ Carlo estimators, one subcommand per task), ``chemdist`` (distance scaling
 fits) and ``verify`` (acceptance suites), each taking only the flags it
 reads; a flag or config key that it does not read is a usage error.
 Configuration can come from a JSON file (--config) whose keys are the flag
-names: flags win over file values, and file values over the defaults.
+names, and each value is read as its flag's text by the same parse as the
+command line: flags win over file values, and file values over the defaults.
 Nothing else is read, not even the environment.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, budget
@@ -38,8 +39,7 @@ def finite(text) -> float:
     return value
 
 
-#: flag name -> add_argument keywords; a default is applied only after the
-#: config file is read, so that it cannot override a file value
+#: flag name -> add_argument keywords
 _FLAGS = {
     "config": dict(help="JSON config file; explicit flags win"),
     "alpha": dict(help="tail index alpha (exponents: a grid, list or lo:hi:n)"),
@@ -76,47 +76,51 @@ _TASKS = {
 }
 
 
-def _parse_grid(text, geometric: bool) -> list[float]:
-    """Parse "a,b,c" lists or "lo:hi:n" ranges (geometric for t grids).
+def _opt(flag: str) -> str:
+    """The command-line spelling of a flag name."""
+    return "--" + flag.replace("_", "-")
 
-    Config files may supply plain numbers or lists instead of strings. Every
-    value must be finite, and a time grid's (``geometric``) also > 0.
+
+def _parse_grid(args, flag: str) -> list[float]:
+    """Parse a flag's "a,b,c" list or "lo:hi:n" range (geometric for --t-grid).
+
+    Every value must be finite, and a time's also > 0.  An error names the flag.
     """
-    if isinstance(text, (int, float)):
-        text = [text]
-    if isinstance(text, (list, tuple)):
-        values = [float(v) for v in text]
-    elif not text.strip():
-        raise ValueError("empty grid")
-    elif ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range syntax is lo:hi:n, got {text!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1 or min(lo, hi) <= 0 and geometric:
-            raise ValueError(f"bad range {text!r}")
-        values = [lo] if n == 1 else list((np.geomspace if geometric else np.linspace)(lo, hi, n))
-    else:
-        values = [float(v) for v in text.split(",")]
-    if not all(math.isfinite(v) and (v > 0 or not geometric) for v in values):
-        need = "finite and > 0" if geometric else "finite"
-        raise ValueError(f"grid values must be {need}, got {text!r}")
+    text, geometric = getattr(args, flag), flag == "t_grid"
+    try:
+        if not text.strip():
+            raise ValueError("empty grid")
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"range syntax is lo:hi:n, got {text!r}")
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            if n < 1 or min(lo, hi) <= 0 and geometric:
+                raise ValueError(f"bad range {text!r}")
+            space = np.geomspace if geometric else np.linspace
+            values = [lo] if n == 1 else list(space(lo, hi, n))
+        else:
+            values = [float(v) for v in text.split(",")]
+        if not all(math.isfinite(v) and (v > 0 or not geometric) for v in values):
+            need = "finite and > 0" if geometric else "finite"
+            raise ValueError(f"grid values must be {need}, got {text!r}")
+    except ValueError as exc:
+        raise ValueError(f"{_opt(flag)}: {exc}") from None
     return values
 
 
 #: values of a flag that count as leaving it out
-_UNSET = (None, "", [])
+_UNSET = (None, "")
 
 
 def _scalar(args, flag: str, default=None):
     """The one value of a value flag; ``default`` when it is left out or not taken."""
-    text = getattr(args, flag, None)
-    if text in _UNSET:
+    if getattr(args, flag, None) in _UNSET:
         return default
-    values = _parse_grid(text, geometric=False)
+    values = _parse_grid(args, flag)
     if len(values) != 1:
-        raise ValueError(f"--{flag.replace('_', '-')} takes one value, got {text!r}")
-    return float(values[0])
+        raise ValueError(f"{_opt(flag)} takes one value, got {getattr(args, flag)!r}")
+    return values[0]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,8 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(into, name, help, *flags):
         p = into.add_parser(name, help=help)
         for flag in ("config", *flags, "out"):
-            spec = dict(_FLAGS[flag], default=None)
-            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **spec)
+            p.add_argument(_opt(flag), dest=flag, **_FLAGS[flag])
 
     add(sub, "exponents", "tabulate exponent phase diagrams",
         "alpha", "dim", "rho", "delta", "gamma", "which", "format")
@@ -146,62 +149,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_value(key: str, value, parser: argparse.ArgumentParser):
-    """A config file value converted and checked as its flag would be on the command line."""
-    spec = _FLAGS[key]
-    if "type" in spec:
-        try:
-            value = spec["type"](str(value))
-        except ValueError:
-            parser.error(f"config field {key}: invalid {spec['type'].__name__} value {value!r}")
-    if "choices" in spec and value not in spec["choices"]:
-        parser.error(f"config field {key}: {value!r} is not one of {', '.join(spec['choices'])}")
-    return value
+def _config_argv(args, parser: argparse.ArgumentParser) -> list[str]:
+    """The --config file's keys as ``--flag=text`` tokens.
 
-
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill flags left unset from the --config file, then from the defaults.
-
-    A config may set only the flags its subcommand (or simulate task)
-    takes, each under its flag's name.  A file value goes through its flag's
-    ``type`` and ``choices``; flags without a type (the grids and values)
-    also take numbers and lists.  A --dim or --jobs below 1 is refused.
+    A config may set only the flags its subcommand (or simulate task) takes,
+    each under its flag's name.  A number or string is read as its flag's
+    text and a list as its comma-joined text; null and [] are left out, and
+    any other value is refused.
     """
-    flags = set(vars(args)) - {"command", "task", "config"}
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config: {exc}")
-        if not isinstance(cfg, dict):
-            parser.error(f"config must be a JSON object, got {type(cfg).__name__}")
-    unknown = set(cfg) - flags
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"config must be a JSON object, got {type(cfg).__name__}")
+    unknown = set(cfg) - (set(vars(args)) - {"command", "task", "config"})
     if unknown:
         name = " ".join(filter(None, (args.command, getattr(args, "task", None))))
         parser.error(f"config fields not read by {name}: {sorted(unknown)}")
-    for key in flags:
-        if getattr(args, key) is not None:
+    tokens = []
+    for key, value in cfg.items():
+        items = value if isinstance(value, list) else [value]
+        if value is None or not items:
             continue
-        if cfg.get(key) is not None:
-            setattr(args, key, _config_value(key, cfg[key], parser))
-        else:
-            setattr(args, key, _FLAGS[key].get("default"))
-    for key in ("dim", "jobs"):
-        value = getattr(args, key, None)
-        if value is not None and value < 1:
-            parser.error(f"--{key} must be >= 1, got {value}")
-
-
-def _master_seed(args, parser: argparse.ArgumentParser) -> int:
-    """Master seed from --seed or the config (else 0).
-
-    A seed outside [0, 2^64) is refused: the 64-bit Philox key would wrap it.
-    """
-    if not 0 <= args.seed < 2**64:
-        parser.error(f"seed must lie in [0, 2^64), got {args.seed}")
-    return args.seed
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+            parser.error(f"config field {key}: {json.dumps(value)} is not a number, string or list")
+        tokens.append(f"{_opt(key)}={','.join(map(str, items))}")
+    return tokens
 
 
 def _emit(args, header, rows, payload) -> None:
@@ -215,16 +190,15 @@ def _emit(args, header, rows, payload) -> None:
 def _cmd_exponents(args, parser) -> int:
     if args.alpha is None or args.dim is None:
         parser.error("exponents needs --alpha and --dim")
-    alphas = _parse_grid(args.alpha, geometric=False)
+    alphas = _parse_grid(args, "alpha")
     which = args.which or ("p" if args.rho is not None else "q")
     for f in ("rho", "delta", "gamma"):
         if f not in _TABLES[which] and getattr(args, f) not in _UNSET:
             parser.error(f"--which {which} does not read --{f}")
     flag = _TABLES[which][0]
-    x_text = getattr(args, flag)
-    if x_text is None:
+    if getattr(args, flag) is None:
         parser.error(f"--which {which} needs --{flag}")
-    xs = _parse_grid(x_text, geometric=False)
+    xs = _parse_grid(args, flag)
     gamma = _scalar(args, "gamma", 0.0)
     rows = exponents.phase_diagram(alphas, xs, which, args.dim, gamma=gamma)
     prov = reporting.provenance_string(
@@ -250,17 +224,12 @@ def _cmd_exponents(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    seed = _master_seed(args, parser)
-    if args.replicas is None or args.replicas < 1:
-        parser.error("simulate needs --replicas >= 1")
-    if args.dim is None:
-        parser.error(f"{args.task} needs --dim")
-    if "alpha" in args and args.alpha in _UNSET:
-        parser.error(f"{args.task} needs --alpha")
-    jobs = getattr(args, "jobs", None)
+    for flag in ("replicas", "dim", "alpha"):
+        if flag in args and getattr(args, flag) in _UNSET:
+            parser.error(f"{args.task} needs {_opt(flag)}")
+    seed, jobs, dim = args.seed, getattr(args, "jobs", None), args.dim
     alpha = _scalar(args, "alpha")
-    dim = args.dim
-    t_grid = _parse_grid(args.t_grid, geometric=True) if args.t_grid else None
+    t_grid = _parse_grid(args, "t_grid") if args.t_grid else None
     params = {
         "task": args.task,
         "alpha": alpha,
@@ -296,15 +265,14 @@ def _cmd_simulate(args, parser) -> int:
 
     if args.task == "lln":
         r = montecarlo.lln_check(alpha, dim, t_grid[0], args.replicas, seed)
-        header = ("t", "mean", "stderr", "target", "seed", "replicas", "provenance")
-        rows = [(r.t, r.mean, r.stderr, r.target, seed, r.replicas, prov)]
-        extra = {"result": rows[0][:4]}
+        header = ("t", "mean", "stderr", "target")
+        rows = [(r.t, r.mean, r.stderr, r.target)]
+        extra = {"result": rows[0]}
     elif args.task == "scaling":
         r = montecarlo.scaling_exponent_estimate(
             alpha, dim, t_grid, args.replicas, args.quantile, seed, jobs=jobs
         )
-        header = ("t", "quantile_A_t", "seed", "replicas", "provenance")
-        rows = [(t, q, seed, args.replicas, prov) for t, q in r.quantiles]
+        header, rows = ("t", "quantile_A_t"), r.quantiles
         extra = {
             "slope": r.slope,
             "stderr": r.stderr,
@@ -326,39 +294,31 @@ def _cmd_simulate(args, parser) -> int:
         scan = montecarlo.tail_prob_scan(
             model, alpha, dim, t_grid, args.replicas, seed, jobs=jobs, **kwargs
         )
-        header = (
-            "t",
-            "probability",
-            "ci_low",
-            "ci_high",
-            "seed",
-            "replicas",
-            "provenance",
-        )
+        header = ("t", "probability", "ci_low", "ci_high")
         rows = [
-            (t, e.probability, e.ci_low, e.ci_high, seed, e.replicas, prov)
-            for t, e in zip(scan.t_grid, scan.estimates)
+            (t, e.probability, e.ci_low, e.ci_high) for t, e in zip(scan.t_grid, scan.estimates)
         ]
         extra = {
             **kwargs,
             "model": model,
             "floor_ok": scan.floor_ok,
             "slope": None if scan.slope is None else scan.slope.slope,
-            "rows": rows,
         }
     elif args.task == "chen":
         rep = montecarlo.chen_verify(dim, t_grid[0], args.b_value, args.replicas, seed)
-        header = ("lambda", "threshold", "probability", "bound", "seed", "replicas", "provenance")
-        rows = [
-            (r.lam, r.threshold, r.estimate.probability, r.bound, seed, args.replicas, prov)
-            for r in rep.rows
-        ]
-        extra = {"a_value": rep.a_value, "violations": rep.n_violations, "rows": rows}
+        header = ("lambda", "threshold", "probability", "bound")
+        rows = [(r.lam, r.threshold, r.estimate.probability, r.bound) for r in rep.rows]
+        extra = {"a_value": rep.a_value, "violations": rep.n_violations}
     else:  # khasminskii
         rep = montecarlo.khasminskii_verify(dim, t_grid[0], args.moment, args.replicas, seed)
-        header = ("t", "m", "lhs", "rhs", "violated", "seed", "replicas", "provenance")
-        rows = [(rep.t, rep.m, rep.lhs, rep.rhs, rep.violated, seed, args.replicas, prov)]
-        extra = {"row": rows[0][:5]}
+        header = ("t", "m", "lhs", "rhs", "violated")
+        rows = [(rep.t, rep.m, rep.lhs, rep.rhs, rep.violated)]
+        extra = {"row": rows[0]}
+    # every estimator row ends in its seed, replica count and provenance
+    header += ("seed", "replicas", "provenance")
+    rows = [(*row, seed, args.replicas, prov) for row in rows]
+    if args.task in ("tail-scan", "chen"):  # their JSON holds the full rows
+        extra["rows"] = rows
     _emit(args, header, rows, {"command": "simulate", **params, "provenance": prov, **extra})
     return 0
 
@@ -369,9 +329,8 @@ def _cmd_chemdist(args, parser) -> int:
         parser.error("chemdist needs --alpha --dim --delta --t-grid")
     alpha, delta = _scalar(args, "alpha"), _scalar(args, "delta")
     gamma = _scalar(args, "gamma", 0.0)
-    t_grid = _parse_grid(args.t_grid, geometric=True)
-    seed = _master_seed(args, parser)
-    seeds = [seed + k for k in range(args.seeds)]
+    t_grid = _parse_grid(args, "t_grid")
+    seeds = [args.seed + k for k in range(args.seeds)]
     fit = chemdist.chemdist_scaling(alpha, args.dim, delta, gamma, t_grid, seeds)
     prov = reporting.provenance_string(
         {
@@ -431,8 +390,19 @@ def _cmd_verify(args, parser) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _resolve(args, parser)
+    if args.config:
+        # the file's tokens go after the command (and task), so a flag given wins
+        cut = 2 if args.command == "simulate" else 1
+        args = parser.parse_args([*argv[:cut], *_config_argv(args, parser), *argv[cut:]])
+    for key in ("dim", "jobs", "seeds", "replicas"):
+        value = getattr(args, key, None)
+        if value is not None and value < 1:
+            parser.error(f"{_opt(key)} must be >= 1, got {value}")
+    # the 64-bit Philox key would wrap a seed outside [0, 2^64)
+    if not 0 <= getattr(args, "seed", 0) < 2**64:
+        parser.error(f"seed must lie in [0, 2^64), got {args.seed}")
     try:
         if args.command == "exponents":
             return _cmd_exponents(args, parser)

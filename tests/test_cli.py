@@ -254,7 +254,8 @@ class TestSimulateCommand:
         out_file = tmp_path / "out"
         code, _ = run_cli(["simulate", "lln", "--config", str(cfg), "--out", str(out_file)])
         assert code == 2
-        assert f"config field {key}" in capsys.readouterr().err
+        # a config value gets the message its flag gets on the command line
+        assert f"error: argument --{key}: invalid" in capsys.readouterr().err
         assert not out_file.exists()
 
     def test_config_list_t_grid(self, tmp_path):
@@ -391,12 +392,52 @@ class TestOutsideInput:
         cfg.write_text(json.dumps({"t_grid": [0, 100]}))
         args = ["simulate", "tail-scan", "--alpha", "0.5", "--rho", "1.2", "--dim", "1"]
         assert run_cli(args + ["--replicas", "10", "--config", str(cfg)]) == (2, "")
-        assert "grid values must be finite and > 0, got [0, 100]" in capsys.readouterr().err
+        message = "--t-grid: grid values must be finite and > 0, got '0,100'"
+        assert message in capsys.readouterr().err
 
     def test_lln_needs_alpha(self, capsys):
         args = ["simulate", "lln", "--dim", "1", "--t-grid", "100", "--replicas", "10"]
         assert run_cli(args) == (2, "")
         assert "lln needs --alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"alpha": {"a": 1}}, 'config field alpha: {"a": 1} is not a number'),
+            ({"t_grid": [[100]]}, "config field t_grid: [[100]] is not a number"),
+            ({"alpha": True}, "config field alpha: true is not a number"),
+            ({"alpha": "-inf"}, "--alpha: grid values must be finite, got '-inf'"),
+        ],
+        ids=["object", "nested-list", "boolean", "leading-minus"],
+    )
+    def test_config_value_read_as_flag_text(self, tmp_path, capsys, payload, message):
+        # a value is its flag's text; a JSON type with no such text is a usage error
+        cfg = tmp_path / "value.json"
+        cfg.write_text(json.dumps(payload))
+        args = ["simulate", "lln", "--dim", "1", "--t-grid", "100", "--replicas", "10"]
+        assert run_cli(args + ["--config", str(cfg)]) == (2, "")
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "tail-scan", "--alpha", "0.5", "--rho", "nan", "--t-grid", "100"],
+             "--rho: grid values must be finite, got 'nan'"),
+            (["simulate", "lln", "--alpha", "nan", "--t-grid", "100"],
+             "--alpha: grid values must be finite, got 'nan'"),
+            (["simulate", "scaling", "--alpha", "0.8", "--t-grid", "100:1000:2.5"],
+             "--t-grid: invalid literal for int()"),
+            (["chemdist", "--alpha", "1", "--delta", "1", "--t-grid", "10:1000"],
+             "--t-grid: range syntax is lo:hi:n"),
+            (["exponents", "--alpha", "1", "--rho", "x"], "--rho: could not convert"),
+        ],
+        ids=["rho-nan", "alpha-nan", "t-grid-count", "t-grid-range", "rho-text"],
+    )
+    def test_number_error_names_its_flag(self, capsys, args, message):
+        replicas = ["--replicas", "10"] if args[0] == "simulate" else []
+        assert run_cli(args + ["--dim", "1"] + replicas) == (2, "")
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [5, [["alpha", 1]], ["alpha"], "alpha"])
     def test_config_not_an_object_refused(self, tmp_path, capsys, payload):
@@ -482,6 +523,17 @@ class TestEveryOptionIsRead:
     def test_jobs_below_one_exits_2(self, capsys, jobs):
         assert run_cli(_simulate("scaling", "--jobs", jobs)) == (2, "")
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seeds", "0"), ("--seeds", "-2"), ("--replicas", "0"), ("--replicas", "-1")]
+    )
+    def test_count_below_one_exits_2(self, capsys, flag, value):
+        if flag == "--seeds":
+            args = ["chemdist", "--alpha", "1", "--delta", "1", "--t-grid", "10:1000:5"]
+        else:
+            args = ["simulate", "lln", "--alpha", "2", "--t-grid", "100"]
+        assert run_cli(args + ["--dim", "1", flag, value]) == (2, "")
+        assert f"error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_config_jobs_below_one_exits_2(self, tmp_path, jobs):
@@ -686,6 +738,14 @@ class TestVerifyCommand:
         (line,) = out.splitlines()
         assert line.startswith("PASS law of large numbers")
 
+    def test_config_suite_list_is_read(self, tmp_path):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"suite": ["continuity"]}))
+        code, out = run_cli(["verify", "--config", str(cfg)])
+        assert code == 0
+        (line,) = out.splitlines()
+        assert line.startswith("PASS regime continuity")
+
     def test_flag_not_read_rejected(self):
         code, _ = run_cli(["verify", "--suite", "determinism", "--seed", "5"])
         assert code == 2
@@ -809,6 +869,12 @@ class TestOutputBytes:
     def test_scaling_jobs_do_not_change_bytes(self):
         one = run_cli(_PINNED["scaling"] + ["--jobs", "1"])
         two = run_cli(_PINNED["scaling"] + ["--jobs", "2"])
+        assert one == two and one[0] == 0
+
+    @pytest.mark.parametrize("name", ["tail-scan-rwrs", "tail-scan-rcm"])
+    def test_tail_scan_jobs_do_not_change_bytes(self, name):
+        one = run_cli(_PINNED[name] + ["--jobs", "1"])
+        two = run_cli(_PINNED[name] + ["--jobs", "2"])
         assert one == two and one[0] == 0
 
     @pytest.mark.parametrize("task", ["chen", "khasminskii"])
