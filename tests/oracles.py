@@ -1,31 +1,28 @@
-"""Event-driven walks and exact path functionals: oracles for the kernels.
+"""Exact values and independent samplers: the oracles the package is checked against.
 
-The estimators run on the replica-batch kernels of ``scenerywalk._kernels``,
-which draw only jump skeletons and the exact sojourn laws.  This module
-simulates one walk at a time, event by event, and sums its sojourns exactly
-(``math.fsum``, so sum of local times = t and A_t = sum z * local time hold
-to double precision).  No estimator needs it, so it lives with the tests as
-the reference the kernels' laws are checked against.
+No estimator needs this module, so it lives with the tests.  Each oracle
+here is compared with package output by at least one test, and
+``tests/test_oracles_used.py`` fails when one is not.
 
-Rates are explicit parameters: the scenery walk has total rate 1, while the
-time-change representation of the layered walk needs component walks with
-per-edge rate 1 (total rate 2 vertically, 2d transversally).
-
+``simulate_vsrw`` runs one layered VSRW at a time, jump by jump, the
+independent event-driven check of ``_kernels.vsrw_endpoints_batch``.
 ``transition_prob_mc`` estimates p_t(0, x) by endpoint frequencies of the
 kernels' jump skeletons, the Monte Carlo check of the Bessel series
 ``montecarlo.log_transition_prob``.
 
-``TableField`` is the explicit-table scenery of the hand-computed examples,
-``box_max`` the maximum of a field over a ball, ``detour_full_margin``
-the single-detour search over its whole margin box, and
-``layered_second_moment`` the exact E[X1(t)^2] of the layered walk.
+``layered_second_moment`` is the exact E[X1(t)^2] of the layered walk and
+``functional_second_moment`` the exact E[(A_t - mu t)^2] of the scenery
+walk over fresh Pareto sceneries.  ``TableField`` is the explicit-table
+scenery of the hand-computed examples, ``box_max`` the maximum of a field
+over a ball, and ``detour_full_margin`` the single-detour search over its
+whole margin box.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 from scipy import integrate
@@ -34,58 +31,6 @@ from scipy.special import ive
 from scenerywalk import _kernels
 from scenerywalk.scenery import box_sites, grid_sites
 from scenerywalk.stats import TailEstimate, tail_estimate
-
-
-class InsufficientHorizonError(RuntimeError):
-    """Vertical path too short for the requested clock value; extend and retry."""
-
-
-@dataclass(frozen=True)
-class WalkPath:
-    """Event-list trajectory of a continuous-time nearest-neighbour walk.
-
-    ``jump_times`` are strictly increasing and <= horizon; ``sites[j]`` is the
-    position entered at ``jump_times[j]``.  The position is a right-continuous
-    step function of time, defined on all of [0, horizon].
-    """
-
-    dim: int
-    start: tuple
-    jump_times: np.ndarray
-    sites: np.ndarray  # shape (n_jumps, dim)
-    horizon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "jump_times", np.asarray(self.jump_times, dtype=np.float64))
-        sites = np.asarray(self.sites, dtype=np.int64).reshape(-1, self.dim)
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "start", tuple(int(c) for c in self.start))
-
-    @property
-    def n_jumps(self) -> int:
-        return int(self.jump_times.size)
-
-    def site_sequence(self) -> np.ndarray:
-        """Occupied sites in order, starting site included: shape (n_jumps+1, dim)."""
-        return np.vstack([np.asarray(self.start, dtype=np.int64), self.sites])
-
-    def position(self, u: float) -> tuple:
-        """Position at time u in [0, horizon] (right-continuous)."""
-        if not 0 <= u <= self.horizon:
-            raise ValueError(f"time {u} outside [0, {self.horizon}]")
-        k = int(np.searchsorted(self.jump_times, u, side="right"))
-        if k == 0:
-            return self.start
-        return tuple(int(c) for c in self.sites[k - 1])
-
-    def validate(self) -> None:
-        """Check the path invariants; raises ValueError on violation."""
-        t = self.jump_times
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0 or t[-1] > self.horizon):
-            raise ValueError("jump times must be strictly increasing in (0, horizon]")
-        seq = self.site_sequence()
-        if t.size and np.any(np.abs(np.diff(seq, axis=0)).sum(axis=1) != 1):
-            raise ValueError("consecutive sites must be lattice nearest neighbours")
 
 
 @dataclass(frozen=True)
@@ -158,44 +103,21 @@ def layered_second_moment(field, t: float) -> float:
     return 2.0 * integrate.quad(density, 0.0, t, limit=200)[0]
 
 
-@dataclass(frozen=True)
-class HKConstants:
-    """Envelope constants c1..c4; fitted artifacts, not universal values."""
+def functional_second_moment(alpha: float, dim: int, t: float) -> float:
+    """Exact E[(A_t - mu t)^2] of the rate-1 walk over fresh Pareto(alpha) sceneries.
 
-    c1: float
-    c2: float
-    c3: float
-    c4: float
+    Given the walk, A_t - mu t = sum_x (z(x) - mu) l_t(x) with i.i.d. z of
+    variance sigma^2 (alpha > 2), so the mean square is sigma^2 E sum_x l_t(x)^2,
+    and by the Markov property
 
-    def __post_init__(self):
-        if min(self.c1, self.c2, self.c3, self.c4) <= 0:
-            raise ValueError("heat-kernel constants must be strictly positive")
-
-
-def simulate_srw(dim: int, total_rate: float, horizon: float, rng: np.random.Generator) -> WalkPath:
-    """Continuous-time simple random walk started at the origin.
-
-    Exponential(total_rate) holding times; each jump moves a uniformly random
-    coordinate by +-1.
+        E sum_x l_t(x)^2 = 2 int_0^t (t - s) p_s(0, 0) ds,  p_s(0, 0) = (e^(-s/d) I_0(s/d))^d.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if total_rate <= 0:
-        raise ValueError("total_rate must be positive")
-    times = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / total_rate)
-        if t > horizon:
-            break
-        times.append(t)
-    n = len(times)
-    coords = rng.integers(0, dim, size=n)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    steps = np.zeros((n, dim), dtype=np.int64)
-    steps[np.arange(n), coords] = signs
-    sites = np.cumsum(steps, axis=0)
-    return WalkPath(dim=dim, start=(0,) * dim, jump_times=np.array(times), sites=sites, horizon=horizon)
+    if alpha <= 2:
+        raise ValueError("the scenery variance is finite only for alpha > 2")
+    mu = alpha / (alpha - 1.0)
+    sigma2 = alpha / (alpha - 2.0) - mu * mu
+    density = lambda s: (t - s) * ive(0, s / dim) ** dim
+    return sigma2 * 2.0 * integrate.quad(density, 0.0, t, limit=200)[0]
 
 
 def transition_prob_mc(
@@ -220,228 +142,47 @@ def transition_prob_mc(
     return tail_estimate(hits, replicas)
 
 
-def simulate_vsrw(field, horizon: float, rng: np.random.Generator) -> WalkPath:
-    """Variable speed random walk on Z^(1+d) in the layered conductance field.
+@functools.cache
+def _layer_value(field, x2: tuple) -> float:
+    """z(x2), cached per (field, transverse site).
+
+    Exact, since field values are pure functions of both and fields are
+    frozen.  The cache is shared across walks: 2000 walks on the fixture
+    visit a few dozen sites between them, and a cache per walk made them
+    about 1.5 times slower.
+    """
+    return float(field.values(np.array(x2, dtype=np.int64)))
+
+
+def simulate_vsrw(field, horizon: float, rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
+    """Endpoint and (vertical, transverse) jump counts of one layered VSRW.
 
     At (x1, x2) the exit rate is 2 z(x2) + 2 d: each vertical edge carries
-    rate z(x2), each transverse edge rate 1.  Simulated by per-site
-    exponential clocks (no uniformisation; the rates are unbounded), after
-    the expected cost has passed ``_kernels.check_vsrw_budget``.
+    rate z(x2), each transverse edge rate 1.  Simulated one jump at a time by
+    exponential holding times (no uniformisation; the rates are unbounded),
+    after the expected cost has passed ``_kernels.check_vsrw_budget``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     _kernels.check_vsrw_budget(field, horizon, 1)
     d = field.dim
-    pos = np.zeros(1 + d, dtype=np.int64)
+    x1, x2 = 0, (0,) * d
     t = 0.0
-    times, sites = [], []
+    vertical = transverse = 0
     while True:
-        z = float(field.values(pos[1:]))
+        z = _layer_value(field, x2)
         rate = 2.0 * z + 2.0 * d
-        t += rng.exponential(1.0 / rate)
-        if t > horizon:
-            break
-        u = rng.random() * rate
-        if u < 2.0 * z:
-            pos[0] += 1 if u < z else -1
-        else:
-            k = int((u - 2.0 * z) // 2.0)
-            pos[1 + k] += 1 if (u - 2.0 * z - 2.0 * k) < 1.0 else -1
-        times.append(t)
-        sites.append(pos.copy())
-    sites_arr = np.array(sites, dtype=np.int64).reshape(-1, 1 + d)
-    return WalkPath(dim=1 + d, start=(0,) * (1 + d), jump_times=np.array(times), sites=sites_arr, horizon=horizon)
-
-
-def time_change_compose(vertical: WalkPath, clock, transverse: WalkPath, t: float) -> tuple:
-    """Layered-walk position at time t from its time-change representation.
-
-    Returns (S1 at the clock value A(t), S2 at t) in Z^(1+d).  ``clock`` must
-    be the clock process built from ``transverse`` (see :func:`clock`).
-    The component walks must have per-edge rate 1 (vertical total rate 2,
-    transverse total rate 2d) for the composition to carry the conductance
-    rates z and 1.
-    """
-    a_t = clock.value(t)
-    if vertical.horizon < a_t:
-        raise InsufficientHorizonError(
-            f"vertical path simulated to {vertical.horizon}, clock requires {a_t}"
-        )
-    return vertical.position(a_t) + transverse.position(t)
-
-
-def hk_envelope(t: float, x, constants: HKConstants, dim: int) -> tuple[float, float]:
-    """Gaussian/Poissonian heat-kernel envelope as (lower, upper) log-probs.
-
-    For |x| <= t (Euclidean norm): log c - (d/2) log t - c |x|^2 / t with
-    (c1, c2) below and (c3, c4) above.  For |x| > t: -c |x| (1 v log(|x|/t)).
-    The boundary |x| = t belongs to the Gaussian branch.
-    """
-    if t < 1:
-        raise ValueError("hk_envelope requires t >= 1")
-    r = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
-    if r <= t:
-        base = -(dim / 2.0) * np.log(t)
-        lower = np.log(constants.c1) + base - constants.c2 * r * r / t
-        upper = np.log(constants.c3) + base - constants.c4 * r * r / t
-    else:
-        drift = r * max(1.0, np.log(r / t))
-        lower = -constants.c2 * drift
-        upper = -constants.c4 * drift
-    return float(lower), float(upper)
-
-
-#: pilot-calibrated envelope constants (a measurement artifact, not theory);
-#: ``tools/pilot_calibration.py`` prints the ``fit_hk_constants`` values to paste here
-HK_CONSTANTS = {
-    # sandwich envelope for p_t(0,x); c2/c4 pushed out 35% from the
-    # fitted Gaussian decay rate, prefactors cleared past every pilot CI
-    "c1": 0.310591,
-    "c2": 0.872018,
-    "c3": 0.507919,
-    "c4": 0.308328,
-    "provenance": (
-        "tools/pilot_calibration.py fit_hk_constants: d=1, t in {10,100}, "
-        "|x| <= 2t, 400k replicas/point, master seed 20240617, 22 estimable points"
-    ),
-}
-
-
-# ---------------------------------------------------------------------------
-# exact path functionals: clock process, local times, level slicing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClockProcess:
-    """Piecewise-linear nondecreasing clock A_u = int_0^u z(S_s) ds.
-
-    ``times`` are the breakpoints (starting at 0), ``cumulative`` the clock
-    values there, ``slopes[i]`` the z-value on [times[i], times[i+1]) (the
-    last slope extends to the horizon).
-    """
-
-    times: np.ndarray
-    cumulative: np.ndarray
-    slopes: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
-        object.__setattr__(self, "cumulative", np.asarray(self.cumulative, dtype=np.float64))
-        object.__setattr__(self, "slopes", np.asarray(self.slopes, dtype=np.float64))
-
-    @property
-    def breakpoints(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.cumulative.tolist()))
-
-    def value(self, u: float) -> float:
-        """Clock value A_u for u in [0, horizon]."""
-        if not 0 <= u <= self.horizon:
-            raise ValueError(f"time {u} outside [0, {self.horizon}]")
-        i = int(np.searchsorted(self.times, u, side="right")) - 1
-        return float(self.cumulative[i] + self.slopes[i] * (u - self.times[i]))
-
-    def inverse(self, a: float) -> float:
-        """First passage time of the clock over level a (slopes > 0)."""
-        if not 0 <= a <= self.value(self.horizon):
-            raise ValueError(f"clock level {a} outside [0, {self.value(self.horizon)}]")
-        i = int(np.searchsorted(self.cumulative, a, side="right")) - 1
-        i = min(i, self.slopes.size - 1)
-        return float(self.times[i] + (a - self.cumulative[i]) / self.slopes[i])
-
-    def validate(self) -> None:
-        if self.times[0] != 0 or self.cumulative[0] != 0:
-            raise ValueError("clock must start at (0, 0)")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("breakpoint times must increase strictly")
-        if np.any(np.diff(self.cumulative) < 0) or np.any(self.slopes < 0):
-            raise ValueError("clock must be nondecreasing")
-
-
-@dataclass(frozen=True)
-class FunctionalRecord:
-    """Exact A_t, per-site local times and range of a walk up to time t."""
-
-    horizon: float
-    a_value: Optional[float]
-    local_times: dict
-    max_range: int
-
-    def total_local_time(self) -> float:
-        return math.fsum(self.local_times.values())
-
-
-def _sojourns(path, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sites, durations) of the sojourn decomposition of [0, t]."""
-    if not 0 <= t <= path.horizon:
-        raise ValueError(f"t={t} outside the simulated horizon {path.horizon}")
-    times = np.concatenate([[0.0], path.jump_times, [path.horizon]])
-    clipped = np.minimum(times, t)
-    dur = np.diff(clipped)
-    sites = path.site_sequence()
-    keep = dur > 0
-    # keep the initial sojourn even if t == 0
-    if not keep.any():
-        keep[0] = True
-    return sites[keep], dur[keep]
-
-
-def clock(field, path) -> ClockProcess:
-    """Exact clock process of the scenery along a walk path."""
-    sites = path.site_sequence()
-    z = np.atleast_1d(field.values(sites))
-    times = np.concatenate([[0.0], path.jump_times])
-    increments = z[:-1] * np.diff(times)
-    cumulative = np.concatenate([[0.0], np.cumsum(increments)])
-    return ClockProcess(times=times, cumulative=cumulative, slopes=z, horizon=path.horizon)
-
-
-def local_times(path, t: float, field=None) -> FunctionalRecord:
-    """Per-site occupation times up to t, with A_t when a field is given.
-
-    The sojourn sums are fsum-accumulated per site, so
-    sum_x l_t(x) == t and A_t == sum_x z(x) l_t(x) hold to double precision.
-    """
-    sites, dur = _sojourns(path, t)
-    acc: dict[tuple, list] = {}
-    for s, w in zip(map(tuple, sites.tolist()), dur.tolist()):
-        acc.setdefault(s, []).append(w)
-    ell = {s: math.fsum(ws) for s, ws in acc.items()}
-    a_value = None
-    if field is not None:
-        z = np.atleast_1d(field.values(sites))
-        a_value = math.fsum(zi * wi for zi, wi in zip(z.tolist(), dur.tolist()))
-    max_range = int(np.max(np.abs(sites))) if sites.size else 0
-    return FunctionalRecord(horizon=t, a_value=a_value, local_times=ell, max_range=max_range)
-
-
-def default_level_count(alpha: float, dim: int, mu: float, epsilon: float) -> int:
-    """Number K of nonempty level sets: floor(d mu / (epsilon alpha))."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return int(np.floor(dim * mu / (epsilon * alpha)))
-
-
-def level_occupations(field, path, t: float, epsilon: float, K: int) -> np.ndarray:
-    """Occupation times of the level-set slices, entry k for k = 0..K.
-
-    Slice k holds the time spent at sites with t^(k eps) <= z < t^((k+1) eps);
-    the top entry aggregates everything at or above t^(K eps) so the vector
-    always sums to t.  For the two-sided reconstruction bound on A_t, K must
-    be large enough that no visited site reaches t^((K+1) eps).
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if t <= 1:
-        raise ValueError("level slicing needs t > 1")
-    sites, dur = _sojourns(path, t)
-    z = np.atleast_1d(field.values(sites))
-    thresholds = t ** (epsilon * np.arange(K + 1, dtype=np.float64))
-    idx = np.searchsorted(thresholds, z, side="right") - 1
-    idx = np.clip(idx, 0, K)
-    out = np.zeros(K + 1)
-    np.add.at(out, idx, dur)
-    return out
+        # a vertical jump leaves x2, and so z and the rate, as they are
+        while True:
+            t += rng.exponential(1.0 / rate)
+            if t > horizon:
+                return np.array((x1, *x2), dtype=np.int64), vertical, transverse
+            u = rng.random() * rate
+            if u >= 2.0 * z:
+                break
+            x1 += 1 if u < z else -1
+            vertical += 1
+        k = min(int((u - 2.0 * z) // 2.0), d - 1)
+        step = 1 if (u - 2.0 * z - 2.0 * k) < 1.0 else -1
+        x2 = x2[:k] + (x2[k] + step,) + x2[k + 1:]
+        transverse += 1

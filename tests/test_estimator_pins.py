@@ -5,6 +5,12 @@ to a canonical form (float bits in hex, arrays by dtype, shape and bytes)
 and hashed.  The digests were recorded before the estimators were routed
 through the shared samplers of ``montecarlo``, so any change in a random
 stream, a summation order or a reported field shows up here.
+
+Every digest rests on the Generator methods the kernels draw from, whose
+streams numpy may change between versions (NEP 19).  ``_DRAWS`` pins each
+method on its own at one Philox key, so a numpy stream change fails
+``test_generator_streams_pinned`` with the methods named, before it fails
+the estimator digests without a reason.
 """
 
 import dataclasses
@@ -16,6 +22,7 @@ import pytest
 
 from scenerywalk import chemdist, montecarlo
 from scenerywalk.scenery import ConstantField, SceneryField
+from scenerywalk.streams import philox
 
 _GRID5 = [100.0, 200.0, 400.0, 800.0, 1600.0]
 
@@ -92,6 +99,45 @@ _SHA256 = {
     "timechange d1": "7b3d42c51de898a2270e280ffb7fe536394a3fa976efd94bbd69ffccfe90b167",
     "timechange d2": "fe94c0d8376662aa1b4db94f3ee5c77fc6aa9e96a03074e5ca8b65c2d5718c31",
 }
+
+
+#: each Generator method the package and its oracles draw from, with the
+#: parameters on both sides of numpy's small/large-parameter switches
+_DRAWS = {
+    "poisson": lambda rng: [rng.poisson(np.repeat([0.5, 8.0, 12.0, 1e4], 16))],
+    "beta": lambda rng: [rng.beta(np.repeat([0.5, 1.0, 3.0, 40.0], 16), np.tile([0.5, 1.0, 3.0, 40.0], 16))],
+    "standard_gamma": lambda rng: [rng.standard_gamma(np.repeat([0.5, 1.0, 3.0, 40.0], 16))],
+    "standard_exponential": lambda rng: [rng.standard_exponential((8, 8))],
+    "exponential": lambda rng: [rng.exponential(0.25, size=64)],
+    "integers": lambda rng: [
+        rng.integers(0, 256, size=64, dtype=np.uint8),
+        rng.integers(0, 3, size=64),
+        rng.integers(0, 2, size=64, dtype=np.int8),
+        rng.integers(0, 2**63, size=64, dtype=np.uint64),
+    ],
+    "random": lambda rng: [rng.random(64)],
+    "uniform": lambda rng: [rng.uniform(0.2, 4.0, size=64)],
+}
+
+_STREAM_SHA256 = {
+    "poisson": "192d8994b8b302fe",
+    "beta": "0308e9f84af55c75",
+    "standard_gamma": "8148df07fdf720f4",
+    "standard_exponential": "05dd0a9d31765f00",
+    "exponential": "19a54f1fba43fe88",
+    "integers": "13ddab1a6e902ff0",
+    "random": "43a5cf5f128834e3",
+    "uniform": "1f2707b8caf52409",
+}
+
+
+def test_generator_streams_pinned():
+    drawn = {
+        name: hashlib.sha256(b"".join(a.tobytes() for a in draw(philox(99, 0)))).hexdigest()[:16]
+        for name, draw in _DRAWS.items()
+    }
+    changed = sorted(name for name in _DRAWS if drawn[name] != _STREAM_SHA256[name])
+    assert not changed, f"numpy Generator streams changed: {', '.join(changed)}"
 
 
 def _canon(x):

@@ -15,6 +15,11 @@ return the same arrays from the same draws.
 ``reference_vsrw_endpoints`` is the per-step VSRW loop that evaluates the
 field on every active row at every iteration; the package kernel makes the
 same draws in the same order and must return the same endpoints exactly.
+The event-driven ``oracles.simulate_vsrw`` shares no code with it past the
+budget check, and its endpoints must follow the same law.
+
+``oracles.functional_second_moment`` and ``oracles.layered_second_moment``
+are exact second moments that the sampled laws must reproduce.
 """
 
 import numpy as np
@@ -25,9 +30,10 @@ from scipy.special import ive
 from scenerywalk import _kernels, montecarlo
 from scenerywalk.calibration import CALIBRATION
 from scenerywalk.scenery import ConstantField, JumpBudgetError, SceneryField
+from scenerywalk.stats import two_sample_chisquare
 from scenerywalk.streams import philox
 
-from oracles import layered_second_moment
+from oracles import functional_second_moment, layered_second_moment, simulate_vsrw
 
 
 def oracle_paths(dim, rate, t, count, rng):
@@ -198,9 +204,27 @@ class TestExactValues:
         assert abs(counts.mean() - 100.0) <= 3 * stderr
         assert abs(counts.mean() - 100.0) <= 3.0
 
+    @pytest.mark.parametrize("dim,count,seed", [(1, 100_000, 37), (2, 30_000, 38)])
+    def test_functional_second_moment_is_exact(self, dim, count, seed):
+        # E[(A_t - mu t)^2] = sigma^2 E sum_x l_t(x)^2 sees the split of time
+        # across sites (110.403 for d = 1 and 41.318 for d = 2 at alpha = 5,
+        # mu = 1.25, t = 100); Gamma(k + 1/2) local times read -7.2 and -6.2 SE
+        a_t = _kernels.additive_functional_batch(5.0, dim, 1.0, 100.0, seed, count, tag=(10, dim))
+        squares = (a_t - 1.25 * 100.0) ** 2
+        se = squares.std(ddof=1) / np.sqrt(count)
+        assert abs(squares.mean() - functional_second_moment(5.0, dim, 100.0)) <= 4 * se
+
     def test_variance_linear_growth(self):
         ends = _kernels.srw_endpoints_batch(1, 1.0, 10_000.0, 4, 8000, tag=40)
         assert abs(ends[:, 0].var() / 10_000.0 - 1.0) <= 0.05
+
+    def test_darling_kac_sqrt_t_selfconsistency(self):
+        n = 4000
+        l1 = montecarlo.local_time_samples(1, 10_000.0, n, seed=21, tag=901)
+        l2 = montecarlo.local_time_samples(1, 40_000.0, n, seed=22, tag=902)
+        diff = abs(l2.mean() - 2 * l1.mean())
+        sig = np.hypot(l2.std(ddof=1), 2 * l1.std(ddof=1)) / np.sqrt(n)
+        assert diff <= 3 * sig
 
 
 class TestSkeletonD1:
@@ -330,6 +354,24 @@ class TestVsrwKernel:
         squares = kernel(field, 50.0, seed, count, tag=(9, 1))[:, 0].astype(np.float64) ** 2
         se = squares.std(ddof=1) / np.sqrt(count)
         assert abs(squares.mean() - layered_second_moment(field, 50.0)) <= 4 * se
+
+    def test_matches_event_driven_oracle(self):
+        # the x1 and x2 marginals of 2000 event-driven walks against 20000
+        # kernel walks on the fixture at t = 5, each tail pooled from the
+        # last value seen 10 times in both samples together; it catches a
+        # kernel clock running 30% fast, not one running 5% fast
+        fx = CALIBRATION["vsrw_fixture"]
+        field = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
+        rng = philox(63, 0)
+        slow = np.array([simulate_vsrw(field, 5.0, rng)[0] for _ in range(2000)])
+        fast = _kernels.vsrw_endpoints_batch(field, 5.0, 64, 20_000, tag=(10, 1))
+        for axis in (0, 1):
+            both = np.concatenate([fast[:, axis], slow[:, axis]])
+            values, counts = np.unique(both, return_counts=True)
+            lo, hi = values[counts >= 10][[0, -1]]
+            bins = np.clip(both, lo, hi) - lo
+            c_fast, c_slow = (np.bincount(b, minlength=hi - lo + 1) for b in np.split(bins, [fast.shape[0]]))
+            assert two_sample_chisquare(c_fast, c_slow).passed
 
     def test_budget_admits_timechange_suite(self):
         # 1e5 replicas at t=50 on the fixture expect about 1.1e9 jumps

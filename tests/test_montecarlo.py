@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import TableField
+from oracles import TableField, transition_prob_mc
 from scenerywalk import _kernels, exponents, montecarlo, verify
+from scenerywalk.calibration import CALIBRATION
 from scenerywalk.montecarlo import (
     StretchedRegimeError,
     chen_bound,
@@ -153,6 +154,50 @@ class TestStrategyBound:
         assert np.isfinite(sb.log_probability)
 
 
+def _bessel_series_p0(t: float, terms: int = 60) -> float:
+    # independent oracle for p_t(0,0) on Z at rate 1: e^-t sum (t/2)^2k / (k!)^2
+    return math.fsum(
+        math.exp(-t) * (t / 2) ** (2 * k) / math.factorial(k) ** 2 for k in range(terms)
+    )
+
+
+class TestTransitionProb:
+    def test_exact_matches_series_oracle(self):
+        p0 = np.exp(log_transition_prob(1, 1.0, 1.0, np.array([[0]])))[0]
+        assert p0 == pytest.approx(_bessel_series_p0(1.0), abs=1e-12)
+        assert p0 == pytest.approx(0.4657596, abs=1e-6)
+
+    def test_exact_product_across_dims(self):
+        # coordinates are independent rate-R/d walks
+        p2 = np.exp(log_transition_prob(2, 1.0, 3.0, np.array([[1, -2]])))[0]
+        p1a, p1b = np.exp(log_transition_prob(1, 0.5, 3.0, np.array([[1], [-2]])))
+        assert p2 == pytest.approx(p1a * p1b, rel=1e-12)
+
+    def test_mc_small_t_degenerate(self):
+        est0 = transition_prob_mc(1, 1.0, 1e-6, [0], 2000, philox(11, 0))
+        assert est0.probability >= 0.999
+        est1 = transition_prob_mc(1, 1.0, 1e-6, [1], 2000, philox(11, 1))
+        assert est1.probability == 0.0
+
+    def test_mc_matches_exact_within_3_sigma(self):
+        t, x = 1.0, 0
+        est = transition_prob_mc(1, 1.0, t, [x], 100_000, philox(11, 2))
+        p = np.exp(log_transition_prob(1, 1.0, t, np.array([[x]])))[0]
+        se = np.sqrt(p * (1 - p) / est.replicas)
+        assert abs(est.probability - p) <= 3 * se
+
+    def test_symmetry_plus_minus(self):
+        est_p = transition_prob_mc(1, 1.0, 4.0, [2], 50_000, philox(11, 3))
+        est_m = transition_prob_mc(1, 1.0, 4.0, [-2], 50_000, philox(11, 4))
+        p = np.exp(log_transition_prob(1, 1.0, 4.0, np.array([[2]])))[0]
+        se = np.sqrt(2 * p * (1 - p) / 50_000)
+        assert abs(est_p.probability - est_m.probability) <= 3 * se
+
+    def test_replica_validation(self):
+        with pytest.raises(ValueError):
+            transition_prob_mc(1, 1.0, 1.0, [0], 0, philox(11, 5))
+
+
 def _no_draw(*args, **kwargs):
     raise AssertionError("an occupation batch was drawn")
 
@@ -279,6 +324,12 @@ class TestTimeChangeComparison:
         a = montecarlo.time_change_distribution_check(f, 10.0, 5_000, seed=21)
         b = montecarlo.time_change_distribution_check(f, 10.0, 5_000, seed=21)
         assert a == b
+
+    def test_distribution_matches_vsrw_small(self):
+        fx = CALIBRATION["vsrw_fixture"]
+        f = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
+        cmp_ = montecarlo.time_change_distribution_check(f, 25.0, 20_000, seed=77)
+        assert cmp_.chi2.passed
 
 
 class TestKernels:
