@@ -18,9 +18,9 @@ only a step, an int32 position and a visit count remain.  In d = 1 a step
 is one random bit, the positions come eight at a time from the drawn bytes
 through one 256-entry table of within-byte prefix positions
 (:data:`_BYTE_PREFIX`), and the visits of all rows are counted by one
-``bincount``.  The event-driven simulators in ``tests/oracles.py`` and the
-explicit-sojourn kernel kept in the tests sample the same laws and serve as
-oracles.
+``bincount``.  The explicit-sojourn kernel in ``tests/test_kernels.py`` and
+the event-driven ``simulate_vsrw`` in ``tests/oracles.py`` sample the laws of
+the skeleton and VSRW kernels and serve as their oracles.
 
 Randomness comes from Philox streams keyed by (master seed, *tag, chunk
 index) with a fixed chunk size, where ``tag`` is an int or a tuple of ints;
@@ -46,8 +46,8 @@ _ELEMENT_BUDGET = 2_500_000
 #: jump cells of one sub-batch above which :func:`skeletons` refuses to run;
 #: the 16-row floor lets a sub-batch outgrow ``_ELEMENT_BUDGET`` past t of
 #: about 1.5e5.  Measured peaks of ``additive_functional_batch`` are about
-#: 14 bytes per cell in d = 1 and 80 to 100 in d = 2 and 3, so the cap holds
-#: a sub-batch near 0.14 GB in d = 1 and 1 GB in d = 3
+#: 15 bytes per cell in d = 1 and 64 to 91 in d = 2 and 3 (``tools/bench.py``),
+#: so the cap holds a sub-batch near 0.15 GB in d = 1 and 0.9 GB in d = 3
 _CELL_CAP = 4 * _ELEMENT_BUDGET
 
 #: replicas per Philox stream of :func:`vsrw_endpoints_batch` (fixed: results depend on it)
@@ -208,7 +208,7 @@ def _values_at(values, pos: np.ndarray) -> np.ndarray:
     evaluate the positions directly.
     """
     if pos.shape[-1] != 1:
-        return values(pos.astype(np.int64))
+        return values(pos)
     lo = int(pos.min())
     strip = values(np.arange(lo, int(pos.max()) + 1, dtype=np.int64)[None, :, None])
     return np.take_along_axis(strip, pos[..., 0].astype(np.int64) - lo, axis=1)

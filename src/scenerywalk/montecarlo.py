@@ -11,8 +11,8 @@ those regimes raise :class:`StretchedRegimeError`.  Every estimator is
 reproducible bit-exactly from (master seed, parameters): randomness flows
 through keyed Philox streams only.
 
-Each law has one sampler.  ``_occupation`` (the origin local time l_t(0)
-of the walk started at the origin) serves local_time_samples, chen_verify,
+Each law has one sampler.  ``local_time_samples`` (the origin local time
+l_t(0) of the walk started at the origin) serves chen_verify,
 khasminskii_verify and strategy_lower_bound, so an exact d = 1 origin local
 time (ROADMAP item 7) changes only it.  ``_functional`` (A_t) serves
 lln_check, scaling_exponent_estimate and the rwrs tail scan; both tail-scan
@@ -76,13 +76,6 @@ class StretchedRegimeError(RuntimeError):
     frequency estimation; use the exponent algebra and
     :func:`strategy_lower_bound` instead.
     """
-
-
-def _occupation(dim: int, t: float, replicas: int, seed: int, tag):
-    """Origin local time l_t(0) of the rate-1 walk started at the origin."""
-    return _kernels.occupation_batch(
-        dim, RWRS_RATE, t, seed, replicas, tag, lambda pos: np.all(pos == 0, axis=-1)
-    )
 
 
 def _functional(alpha: float, dim: int, t: float, replicas: int, seed: int, tag, law_override=None):
@@ -355,7 +348,8 @@ def _local_time_tail(dim: int, window: float) -> np.ndarray:
     Cached, at most 8 entries of ``_LT_TAIL_REPLICAS`` float64 each; callers
     must not modify the returned array.
     """
-    return np.sort(_occupation(dim, window, _LT_TAIL_REPLICAS, _LT_TAIL_SEED, _KEY_LOCAL_TIME_TAIL))
+    tag = _KEY_LOCAL_TIME_TAIL
+    return np.sort(local_time_samples(dim, window, _LT_TAIL_REPLICAS, _LT_TAIL_SEED, tag))
 
 
 def _log_stay_prob(dim: int, window: float, amounts: np.ndarray) -> np.ndarray:
@@ -452,14 +446,16 @@ def chen_bound(lam: float, a_value: float, b_value: float) -> float:
 
 
 def local_time_samples(dim: int, t: float, replicas: int, seed: int, tag=None) -> np.ndarray:
-    """MC sample of the origin local time l_t(0) of the rate-1 walk.
+    """MC sample of the origin local time l_t(0) of the rate-1 walk started at the origin.
 
     ``tag`` (int or tuple) overrides the default stream key, which is
     (local-time key, t) and is the one :func:`chen_verify` uses itself.
     """
     if tag is None:
         tag = (_KEY_LOCAL_TIME, _float_part(t))
-    return _occupation(dim, t, replicas, seed, tag)
+    return _kernels.occupation_batch(
+        dim, RWRS_RATE, t, seed, replicas, tag, lambda pos: np.all(pos == 0, axis=-1)
+    )
 
 
 @dataclass(frozen=True)
@@ -558,10 +554,11 @@ def khasminskii_verify(dim: int, t: float, m: int, replicas: int, seed: int) -> 
         raise ValueError("moment order m must be in 1..4")
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-    occ = _occupation(dim, t, replicas, seed, (_KEY_KHASMINSKII, _float_part(t), m, 0))
+    occ = local_time_samples(dim, t, replicas, seed, (_KEY_KHASMINSKII, _float_part(t), m, 0))
+    occ_m = occ**m
     base = occ.mean()
-    lhs = (occ**m).mean()
-    slack = 3.0 * (standard_error(occ**m) / lhs + m * (standard_error(occ) / base))
+    lhs = occ_m.mean()
+    slack = 3.0 * (standard_error(occ_m) / lhs + m * (standard_error(occ) / base))
     rhs = math.factorial(m) * base**m * (1.0 + slack)
     return KhasminskiiReport(
         t=t, m=m, lhs=float(lhs), rhs=float(rhs), base_moment=float(base), slack=float(slack)

@@ -15,7 +15,8 @@ kernels' jump skeletons, the Monte Carlo check of the Bessel series
 walk over fresh Pareto sceneries.  ``TableField`` is the explicit-table
 scenery of the hand-computed examples, ``box_max`` the maximum of a field
 over a ball, and ``detour_full_margin`` the single-detour search over its
-whole margin box.
+whole margin box.  ``site_uniform_reference`` is the documented scenery
+hash in Python integers, the check of ``scenery.site_uniforms``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,25 @@ class TableField:
         flat = sites.reshape(-1, sites.shape[-1])
         out = np.array([self.table.get(tuple(int(c) for c in s), self.default) for s in flat])
         return out.reshape(sites.shape[:-1])
+
+
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(x: int) -> int:
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def site_uniform_reference(seed: int, site) -> float:
+    """The uniform u of one site by steps 1-3 of the ``scenery`` docstring, one int at a time."""
+    h = _splitmix64(int(seed))
+    for c in site:
+        c = int(c)
+        h = _splitmix64(h ^ (((c << 1) ^ (c >> 63)) & _MASK64))
+    return ((h >> 11) + 1) * 2.0**-53
 
 
 def box_max(field, radius: int) -> tuple[float, tuple]:

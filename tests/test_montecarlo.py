@@ -407,7 +407,8 @@ class TestStreamKeys:
         assert len({key_word(*tag, 0) for tag in tags}) == len(tags)
 
     def test_verify_suite_keys_distinct(self, monkeypatch):
-        # every (master seed, key) the verify suites open; a zero-jump skeleton
+        # every (master seed, key) the verify suites open, in the kernels and in
+        # verify itself (regime continuity's stream); a zero-jump skeleton
         # replaces the draws, since which keys a suite opens depends on its
         # grids and replica counts only.  determinism reruns a seed on purpose.
         opened = {}
@@ -421,6 +422,7 @@ class TestStreamKeys:
             return np.zeros((count, 1, dim), dtype=np.int32), np.ones((count, 1), dtype=bool)
 
         monkeypatch.setattr(_kernels, "philox", recording_philox)
+        monkeypatch.setattr(verify, "philox", recording_philox)
         monkeypatch.setattr(_kernels, "srw_paths_batch", still)
         montecarlo._local_time_tail.cache_clear()
         try:
@@ -431,6 +433,7 @@ class TestStreamKeys:
             montecarlo._local_time_tail.cache_clear()
         opened["determinism"] = set(opened["determinism"])
         keys = [key for suite_keys in opened.values() for key in suite_keys]
+        assert (31337, (2,)) in keys
         assert len(keys) == len(set(keys))
 
     def test_local_time_cache_is_bounded(self):

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import TableField, box_max
+from oracles import TableField, box_max, site_uniform_reference
 from scenerywalk import scenery
 from scenerywalk.scenery import (
     ConstantField,
@@ -28,6 +30,45 @@ class TestInverseCdf:
         vals = f.values(box_sites(8, 2))
         assert np.all(vals >= 1.0)
         assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.filterwarnings("error")
+class TestHashReference:
+    """``site_uniforms`` equals the pure-Python reference of the documented hash, bit for bit."""
+
+    SEEDS = (0, 1, 2**63, 2**64 - 1)
+    EDGES = (0, -1, 2**31 - 1, -(2**31))
+
+    @classmethod
+    def sites(cls, dim, rng, count=50):
+        """Every tuple of edge coordinates, then random int32 sites."""
+        edges = np.array(list(itertools.product(cls.EDGES, repeat=dim)))
+        random = rng.integers(-(2**31), 2**31, size=(count, dim))
+        return np.concatenate([edges, random]).astype(np.int32)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_scalar_seeds(self, dim):
+        sites = self.sites(dim, np.random.default_rng(dim))
+        for seed in self.SEEDS:
+            expected = [site_uniform_reference(seed, s) for s in sites]
+            for s in (sites, sites.astype(np.int64)):
+                assert scenery.site_uniforms(np.uint64(seed), s).tolist() == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_per_row_seeds(self, dim):
+        # d = 1 as the kernels' strip (1, w, 1), d >= 2 as their (rows, k, dim) positions
+        rng = np.random.default_rng(10 + dim)
+        seeds = list(self.SEEDS) + rng.integers(0, 2**63, size=4, dtype=np.uint64).tolist()
+        if dim == 1:
+            sites = self.sites(1, rng)[None]
+            expected = [[site_uniform_reference(seed, s) for s in sites[0]] for seed in seeds]
+        else:
+            sites = np.stack([self.sites(dim, rng, count=20) for _ in seeds])
+            expected = [
+                [site_uniform_reference(seed, s) for s in row] for seed, row in zip(seeds, sites)
+            ]
+        got = scenery.site_uniforms(np.array(seeds, dtype=np.uint64)[:, None], sites)
+        assert got.tolist() == expected
 
 
 class TestDeterminism:

@@ -1,8 +1,9 @@
 """The scripts under ``tools/`` still match the package.
 
 Each script is loaded by path, which runs its imports but not its
-``main``, and every ``_kernels.X``, ``chemdist.X`` and ``montecarlo.X`` it
-names must exist in the module it imported under that name.  So a rename in
+``main``, and every ``_kernels.X``, ``chemdist.X``, ``montecarlo.X`` and
+``scenery.X`` it names must exist in the module it imported under that
+name.  So a rename in
 the package shows up here, not the next time someone runs the tool.
 """
 
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
-MODULES = ("_kernels", "chemdist", "montecarlo")
+MODULES = ("_kernels", "chemdist", "montecarlo", "scenery")
 
 
 def _load(name: str):
