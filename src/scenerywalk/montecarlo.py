@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ive
 
 from . import _kernels, exponents
 from .chemdist import target_site
@@ -303,6 +302,8 @@ def log_transition_prob(dim: int, rate: float, t: float, sites: np.ndarray) -> n
     Sites beyond the reachable range underflow to -inf, which simply removes
     them from the bound maximisation of :func:`strategy_lower_bound`.
     """
+    from scipy.special import ive
+
     u = rate * t / dim
     out = np.zeros(sites.shape[0])
     with np.errstate(divide="ignore"):

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ive
+from scipy.special import gammaln, ive
 
 from scenerywalk import _kernels
 from scenerywalk.scenery import box_sites, grid_sites
@@ -138,6 +138,36 @@ def functional_second_moment(alpha: float, dim: int, t: float) -> float:
     sigma2 = alpha / (alpha - 2.0) - mu * mu
     density = lambda s: (t - s) * ive(0, s / dim) ** dim
     return sigma2 * 2.0 * integrate.quad(density, 0.0, t, limit=200)[0]
+
+
+def origin_local_time_law(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact law of l_t(0) of the rate-1 walk on Z: weights w of t Beta(a, b) components.
+
+    Given N ~ Poisson(t) jumps the N + 1 sojourns split t uniformly, and the
+    walk visits 0 on 1 + R of them, R being the returns by epoch 2n,
+    n = N // 2, with P(R = r) = C(2n - r, n) 2^-(2n - r) for r = 0 ... n
+    (Feller, vol. I, ch. III).  So l_t(0) = t Beta(1 + R, N - R), which is t
+    itself at N = 0 (b = 0).  N runs to t + 20 sqrt(t) + 20, past which the
+    Poisson mass is far below 1e-12.
+    """
+    jumps = np.arange(int(t + 20.0 * np.sqrt(t) + 20.0) + 1)
+    width = jumps // 2 + 1  # components r = 0 ... n of each N
+    big_n = np.repeat(jumps, width)
+    n = big_n // 2
+    r = np.arange(big_n.size) - np.repeat(np.cumsum(width) - width, width)
+    log_poisson = big_n * np.log(t) - t - gammaln(big_n + 1)
+    log_returns = (
+        gammaln(2 * n - r + 1) - gammaln(n + 1) - gammaln(n - r + 1) - (2 * n - r) * np.log(2.0)
+    )
+    weights = np.exp(log_poisson + log_returns)
+    return weights, (1 + r).astype(np.float64), (big_n - r).astype(np.float64)
+
+
+def origin_local_time_moment(t: float, m: int) -> float:
+    """Exact E[l_t(0)^m] from :func:`origin_local_time_law` and the Beta moments."""
+    w, a, b = origin_local_time_law(t)
+    beta_moment = np.prod([(a + j) / (a + b + j) for j in range(m)], axis=0)
+    return float(t**m * (w @ beta_moment))
 
 
 def transition_prob_mc(

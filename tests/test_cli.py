@@ -787,6 +787,33 @@ class TestEntryPoint:
         assert "scenerywalk" in proc.stdout
 
 
+class TestImportPath:
+    #: a fresh interpreter runs the CLI, then lists the scipy modules it loaded
+    SCRIPT = """
+import contextlib, io, sys
+from scenerywalk import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["exponents", "--which", "p", "--dim", "1", "--alpha", "1", "--rho", "1.5"]) == 0
+    assert cli.main(["simulate", "lln", "--alpha", "2", "--dim", "1", "--t-grid", "100",
+                     "--replicas", "64", "--seed", "7"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+    def test_cli_runs_without_scipy(self):
+        # scipy is imported only by the chi-square test and the Bessel series,
+        # so the CLI, an exponent table and an lln run leave it unloaded
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestFieldRecordConfig:
     def test_bad_field_record_rejected(self, tmp_path, capsys):
         # a scenery record is not a config key: --alpha, --dim and --seed are

@@ -103,6 +103,20 @@ class TestChiSquare:
         r = stats.two_sample_chisquare([10, 0, 5], [12, 0, 4])
         assert r.dof == 1
 
+    @pytest.mark.parametrize("significance", [0.01, 0.05, 1e-4])
+    def test_critical_value_is_chi2_ppf(self, significance):
+        # the critical value is scipy's chi2.ppf bit for bit: its quantile
+        # formula at every dof up to 19,999, and the test's own value on a spread
+        from scipy.special import gammaincinv
+        from scipy.stats import chi2
+
+        dof = np.arange(1, 20_000)
+        ppf = chi2.ppf(1 - significance, dof)
+        assert np.array_equal(2.0 * gammaincinv(dof / 2, 1 - significance), ppf)
+        for d in [*range(1, 100), *range(100, 20_000, 97)]:
+            counts = np.ones(d + 1)
+            assert stats.two_sample_chisquare(counts, counts, significance).critical == ppf[d - 1]
+
 
 class TestStreams:
     def test_distinct_keys_distinct_streams(self):

@@ -5,16 +5,19 @@ Run from the repository root:
 
     python tools/bench.py --out BENCH_<n>.json
 
-For each horizon t it draws one sub-batch of rate-1 d = 1 skeletons, sized
-as ``_kernels.skeletons`` sizes them, and times ``srw_paths_batch`` and
-then ``local_times`` on its output, each from a freshly seeded stream, so
-every repeat does the same work; their figure is ns per sojourn (jump count
-+ 1, summed over the rows).  It also times ``vsrw_endpoints_batch`` on the
-``vsrw_fixture`` field at t = 50 with 8192 rows, in ns per simulated jump,
-and ``detour_distance`` from the origin to the ``chemdist_scaling`` target
-at t = 1e5 over 20 field seeds, in seconds and sites evaluated per call.
-The field stage works on one sub-batch of a kernel call, whose rows are
-also capped by the stream chunk size ``CHUNK``.  It times ``site_uniforms``
+It first times ``import scenerywalk.cli`` in a fresh interpreter: the
+process wall time, the peak RSS (VmHWM) the child reports and the number
+of scipy modules it has loaded.  For each horizon t it draws one sub-batch
+of rate-1 d = 1 skeletons, as many rows as one kernel call runs at once
+(one stream chunk of at most ``CHUNK`` rows, cut as ``_kernels.skeletons``
+cuts it), and times ``srw_paths_batch`` and then ``local_times`` on its
+output, each from a freshly seeded stream, so every repeat does the same
+work; their figure is ns per sojourn (jump count + 1, summed over the
+rows).  It also times ``vsrw_endpoints_batch`` on the ``vsrw_fixture``
+field at t = 50 with 8192 rows, in ns per simulated jump, and
+``detour_distance`` from the origin to the ``chemdist_scaling`` target at
+t = 1e5 over 20 field seeds, in seconds and sites evaluated per call.  The
+field stage works on the same sub-batch rows.  It times ``site_uniforms``
 in sites/s on the per-row strip of a d = 1 sub-batch at t = 100 and on the
 cells of a d = 2 sub-batch at t = 1e4, and takes the tracemalloc peak of
 ``additive_functional_batch`` per jump cell (rows times the jump capacity
@@ -95,9 +98,49 @@ def best_of(call) -> tuple[float, object]:
     return best, result
 
 
+#: run in a fresh interpreter: import the CLI, then report what that cost.
+#: The peak is Linux's VmHWM of the child's own memory map; ru_maxrss would
+#: also carry the RSS of the spawning process, which Linux keeps across exec.
+STARTUP_PROBE = """
+import json, sys
+import scenerywalk.cli
+with open("/proc/self/status") as status:
+    hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({
+    "peak_rss_mb": hwm_kb / 1024.0,
+    "scipy_modules": sum(m.split(".")[0] == "scipy" for m in sys.modules),
+}))
+"""
+
+
+def bench_startup() -> dict:
+    """``import scenerywalk.cli`` in fresh interpreters: least wall time, child-reported peak RSS."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    best, reports = float("inf"), []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        best = min(best, time.perf_counter() - start)
+        reports.append(json.loads(proc.stdout))
+    return {
+        "layer": "import scenerywalk.cli",
+        "best_s": best,
+        "peak_rss_mb": min(r["peak_rss_mb"] for r in reports),
+        "scipy_modules": max(r["scipy_modules"] for r in reports),
+    }
+
+
+def sub_batch_rows(t: float) -> int:
+    """Rows of one rate-1 sub-batch of a kernel call: one chunk, cut as ``skeletons`` cuts it."""
+    return min(CHUNK, max(16, _kernels._ELEMENT_BUDGET // _kernels._jump_capacity(1.0, t)))
+
+
 def bench_horizon(t: float) -> list[dict]:
     """The record of each layer at horizon t."""
-    rows = max(16, _kernels._ELEMENT_BUDGET // _kernels._jump_capacity(1.0, t))
+    rows = sub_batch_rows(t)
     paths_s, (pos, live) = best_of(
         lambda: _kernels.srw_paths_batch(1, 1.0, t, rows, philox(1, int(t)))
     )
@@ -194,11 +237,6 @@ def bench_detour() -> dict:
     }
 
 
-def sub_batch_rows(t: float) -> int:
-    """Rows of one rate-1 sub-batch of a kernel call: one chunk, cut as ``skeletons`` cuts it."""
-    return min(CHUNK, max(16, _kernels._ELEMENT_BUDGET // _kernels._jump_capacity(1.0, t)))
-
-
 def bench_site_uniforms(dim: int, t: float) -> dict:
     """``site_uniforms`` on what one sub-batch hashes: the d = 1 strip per row, or every cell."""
     rows = sub_batch_rows(t)
@@ -246,6 +284,9 @@ def bench_functional_peak(dim: int, t: float) -> dict:
 
 def _figure(r: dict) -> str:
     """The per-unit figure of one result row, as printed."""
+    if "scipy_modules" in r:
+        return (f"{1e3 * r['best_s']:.1f} ms, {r['peak_rss_mb']:.1f} MiB peak, "
+                f"{r['scipy_modules']} scipy modules")
     if "ns_per_sojourn" in r:
         return f"{r['ns_per_sojourn']:.2f} ns/sojourn ({r['rows']} rows, {r['sojourns']} sojourns)"
     if "ns_per_jump" in r:
@@ -261,7 +302,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON record to write")
     args = parser.parse_args(argv)
-    results = [row for t in HORIZONS for row in bench_horizon(t)]
+    results = [bench_startup()]
+    results += [row for t in HORIZONS for row in bench_horizon(t)]
     results += [bench_vsrw(), bench_detour()]
     results += [bench_site_uniforms(dim, t) for dim, t in HASH_CASES]
     results += [bench_functional_peak(dim, t) for dim, t in PEAK_CASES]
@@ -275,12 +317,14 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "repeats": REPEATS,
         "statistic": "minimum wall time over the repeats / sojourns, jumps or calls; "
-        "sites / minimum wall time; smaller traced peak of two calls / jump cells",
+        "sites / minimum wall time; smaller traced peak of two calls / jump cells; "
+        "start-up: minimum process wall time and least child-reported peak RSS over the repeats",
         "results": results,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for r in results:
-        print(f"{r['layer']:<25} d={r['dim']} t={r['t']:<8g} {_figure(r)}")
+        where = f"d={r['dim']} t={r['t']:<8g}" if "dim" in r else ""
+        print(f"{r['layer']:<25} {where:<12} {_figure(r)}")
     return 0
 
 
