@@ -17,8 +17,8 @@ The reducers draw exactly these variables after the skeleton, so per jump
 only a step, an int32 position and a visit count remain.  In d = 1 a step
 is one random bit, the positions come eight at a time from the drawn bytes
 through one 256-entry table of within-byte prefix positions
-(:data:`_BYTE_PREFIX`), and the visits of all rows are counted by one
-``bincount``.  The explicit-sojourn kernel in ``tests/test_kernels.py`` and
+(:data:`_BYTE_PREFIX`), and the visits are counted by one ``bincount`` per
+block of rows.  The explicit-sojourn kernel in ``tests/test_kernels.py`` and
 the event-driven ``simulate_vsrw`` in ``tests/oracles.py`` sample the laws of
 the skeleton and VSRW kernels and serve as their oracles.
 
@@ -26,9 +26,9 @@ Randomness comes from Philox streams keyed by (master seed, *tag, chunk
 index) with a fixed chunk size, where ``tag`` is an int or a tuple of ints;
 :func:`_chunks` is the one loop that keys them.  :func:`skeletons` is the
 one sub-batch loop: it draws the rows of one stream in memory-bounded
-sub-batches, and every reducer consumes the stream in a fixed order
-(skeleton, then the reducer's draws).  Results are
-therefore bit-reproducible and independent of the parallelism degree.
+sub-batches, each held only by its reducer, which draws from the stream
+after the skeleton and before the next sub-batch.  Results are therefore
+bit-reproducible and independent of the parallelism degree.
 Field values at batched positions come from one lookup, which for d = 1
 evaluates the strip of sites a batch spans once and gathers from it.
 """
@@ -45,10 +45,13 @@ _ELEMENT_BUDGET = 2_500_000
 
 #: jump cells of one sub-batch above which :func:`skeletons` refuses to run;
 #: the 16-row floor lets a sub-batch outgrow ``_ELEMENT_BUDGET`` past t of
-#: about 1.5e5.  Measured peaks of ``additive_functional_batch`` are about
-#: 15 bytes per cell in d = 1 and 64 to 91 in d = 2 and 3 (``tools/bench.py``),
-#: so the cap holds a sub-batch near 0.15 GB in d = 1 and 0.9 GB in d = 3
+#: about 1.5e5.  Measured peaks of ``additive_functional_batch`` are 6.5 bytes
+#: per cell in d = 1 at t = 1e5 and 64 to 91 in d = 2 and 3 (``tools/bench.py``),
+#: so the cap holds a sub-batch near 0.07 GB in d = 1 and 0.9 GB in d = 3
 _CELL_CAP = 4 * _ELEMENT_BUDGET
+
+#: sojourn cells per row block of the d = 1 visit count in :func:`local_times`
+_BLOCK_CELLS = 2**18
 
 #: replicas per Philox stream of :func:`vsrw_endpoints_batch` (fixed: results depend on it)
 _VSRW_CHUNK = 16384
@@ -132,14 +135,16 @@ def endpoints(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
     return pos[np.arange(pos.shape[0]), live.sum(axis=1) - 1]
 
 
-def skeletons(dim: int, rate: float, t: float, count: int, rng: np.random.Generator):
-    """Yield ``(rows, pos, live)`` for ``count`` skeletons drawn from one stream.
+def skeletons(dim: int, rate: float, t: float, count: int, rng: np.random.Generator,
+              reduce, out: np.ndarray, first: int = 0) -> np.ndarray:
+    """Set ``out[rows] = reduce(rows, rng, pos, live)`` over ``count`` skeletons of one stream.
 
-    The replicas come in sub-batches of at most ``_ELEMENT_BUDGET`` jump
-    cells, but at least 16 rows, which bounds peak memory; ``rows`` is the
-    slice of replicas that ``pos, live`` (see :func:`srw_paths_batch`) cover.
-    A sub-batch over ``_CELL_CAP`` cells raises
-    :class:`~scenerywalk.scenery.JumpBudgetError` before the first draw.
+    Replicas ``first ... first + count`` come in sub-batches of at most
+    ``_ELEMENT_BUDGET`` jump cells, but at least 16 rows; ``rows`` is the
+    slice of ``out`` that ``pos, live`` (see :func:`srw_paths_batch`) cover.
+    Only the reducer holds them, so a sub-batch is freed before the next is
+    drawn, which bounds peak memory.  A sub-batch over ``_CELL_CAP`` cells
+    raises :class:`~scenerywalk.scenery.JumpBudgetError` before the first draw.
     """
     capacity = _jump_capacity(rate, t)
     size = max(16, _ELEMENT_BUDGET // capacity)
@@ -149,20 +154,16 @@ def skeletons(dim: int, rate: float, t: float, count: int, rng: np.random.Genera
             f"t {t:g}) exceeds the cap of {_CELL_CAP} cells"
         )
     for lo, hi in chunk_ranges(count, size):
-        pos, live = srw_paths_batch(dim, rate, t, hi - lo, rng)
-        yield slice(lo, hi), pos, live
+        rows = slice(first + lo, first + hi)
+        out[rows] = reduce(rows, rng, *srw_paths_batch(dim, rate, t, hi - lo, rng))
+    return out
 
 
-def _skeletons(dim: int, rate: float, t: float, master_seed: int, count: int, tag):
-    """Yield ``(rows, rng, pos, live)`` per sub-batch of the keyed replica chunks.
-
-    ``rows`` is the slice of replicas covered; the caller draws its reducer
-    variables from ``rng`` before the next sub-batch, which fixes the order
-    in which each chunk's stream is consumed.
-    """
-    for lo, hi, rng in _chunks(master_seed, tag, count):
-        for rows, pos, live in skeletons(dim, rate, t, hi - lo, rng):
-            yield slice(lo + rows.start, lo + rows.stop), rng, pos, live
+def _skeletons(dim: int, rate: float, t: float, master_seed: int, tag, reduce, out: np.ndarray):
+    """:func:`skeletons` over the keyed replica chunks of ``len(out)`` replicas; returns ``out``."""
+    for lo, hi, rng in _chunks(master_seed, tag, len(out)):
+        skeletons(dim, rate, t, hi - lo, rng, reduce, out, lo)
+    return out
 
 
 def local_times(pos: np.ndarray, live: np.ndarray, t: float, rng: np.random.Generator):
@@ -171,21 +172,22 @@ def local_times(pos: np.ndarray, live: np.ndarray, t: float, rng: np.random.Gene
     Returns ``(sites, times)`` with ``sites (rows, k, dim)`` and ``times
     (rows, k)``, each row of ``times`` summing to t.  For d = 1 the live
     visits are counted on the strip of sites the batch spans (all its
-    cells, live or not), and a site visited k_x > 0 times gets t G_x / sum G
-    with G_x ~ Gamma(k_x).  For d >= 2 each live sojourn gets t E_j / sum E
+    cells, live or not) in blocks of rows, and a site visited k_x > 0 times
+    gets t G_x / sum G with G_x ~ Gamma(k_x).  For d >= 2 each live sojourn gets t E_j / sum E
     with E_j ~ Exp(1), the same Dirichlet(1, ..., 1) law sojourn by sojourn.
     """
     rows, m, dim = pos.shape
     if dim == 1:
         lo = int(pos.min())
         width = int(pos.max()) - lo + 1
-        # histogram cell row * width + x - lo, and one trash cell past the
-        # last row for the sojourns after the horizon
-        trash = rows * width
-        cells = np.add(pos[..., 0], (width * np.arange(rows) - lo)[:, None], dtype=np.intp)
-        np.copyto(cells, trash, where=~live)
-        visits = np.bincount(cells.ravel(), minlength=trash + 1)[:trash].reshape(rows, width)
-        del cells  # 8 bytes per sojourn, not needed by the draws below
+        visits = np.empty((rows, width), dtype=np.intp)
+        for r0, r1 in chunk_ranges(rows, max(1, _BLOCK_CELLS // m)):
+            # cell r * width + x - lo for block row r; sojourns past the horizon go to trash
+            n = r1 - r0
+            trash = n * width
+            cells = np.add(pos[r0:r1, :, 0], (width * np.arange(n) - lo)[:, None], dtype=np.intp)
+            np.copyto(cells, trash, where=~live[r0:r1])
+            visits[r0:r1] = np.bincount(cells.ravel(), minlength=trash)[:trash].reshape(n, width)
         times = np.zeros((rows, width))
         visited = visits > 0
         times[visited] = rng.standard_gamma(visits[visited])
@@ -246,15 +248,16 @@ def additive_functional_batch(
     field_seeds = np.empty(count, dtype=np.uint64)
     for lo, hi, rng in _chunks(master_seed, tag, count, CHUNK, 0xF1E1D):
         field_seeds[lo:hi] = rng.integers(0, 2**63, size=hi - lo, dtype=np.uint64)
-    out = np.empty(count)
-    for rows, rng, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
+
+    def reduce(rows, rng, pos, live):
         sites, times = local_times(pos, live, t, rng)
         if site_weight is not None:
             z = site_weight(sites)
         else:
             z = pareto_values_at(field_seeds[rows], sites, alpha)
-        out[rows] = np.einsum("ij,ij->i", z, times)
-    return out
+        return np.einsum("ij,ij->i", z, times)
+
+    return _skeletons(dim, rate, t, master_seed, tag, reduce, np.empty(count))
 
 
 def occupation_batch(
@@ -267,25 +270,27 @@ def occupation_batch(
     sojourns include k in the set gets t Beta(k, N+1-k): exactly 0 when
     k = 0 and exactly t when k = N+1.
     """
-    out = np.empty(count)
-    for rows, rng, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
+
+    def reduce(rows, rng, pos, live):
         hits = np.logical_and(indicator(pos), live).sum(axis=1)
         sojourns = live.sum(axis=1)
         share = (hits == sojourns).astype(np.float64)
         mixed = (hits > 0) & (hits < sojourns)
         share[mixed] = rng.beta(hits[mixed], sojourns[mixed] - hits[mixed])
-        out[rows] = t * share
-    return out
+        return t * share
+
+    return _skeletons(dim, rate, t, master_seed, tag, reduce, np.empty(count))
 
 
 def srw_endpoints_batch(
     dim: int, rate: float, t: float, master_seed: int, count: int, tag
 ) -> np.ndarray:
     """Positions S_t of the CTSRW for ``count`` replicas, shape (count, dim)."""
-    out = np.empty((count, dim), dtype=np.int64)
-    for rows, _, pos, live in _skeletons(dim, rate, t, master_seed, count, tag):
-        out[rows] = endpoints(pos, live)
-    return out
+
+    def reduce(rows, rng, pos, live):
+        return endpoints(pos, live)
+
+    return _skeletons(dim, rate, t, master_seed, tag, reduce, np.empty((count, dim), np.int64))
 
 
 def _vsrw_radius(dim: int, t: float) -> int:
@@ -403,10 +408,11 @@ def composed_endpoints_batch(field, t: float, master_seed: int, count: int, tag)
     thinning its jumps into independent Poisson(A) up and down counts.
     """
     d = field.dim
-    out = np.empty((count, 1 + d), dtype=np.int64)
-    for rows, rng, pos, live in _skeletons(d, 2.0 * d, t, master_seed, count, tag):
+
+    def reduce(rows, rng, pos, live):
         sites, times = local_times(pos, live, t, rng)
         a2 = np.einsum("ij,ij->i", field_values_at(field, sites), times)
-        out[rows, 0] = rng.poisson(a2) - rng.poisson(a2)
-        out[rows, 1:] = endpoints(pos, live)
-    return out
+        return np.column_stack((rng.poisson(a2) - rng.poisson(a2), endpoints(pos, live)))
+
+    out = np.empty((count, 1 + d), dtype=np.int64)
+    return _skeletons(d, 2.0 * d, t, master_seed, tag, reduce, out)

@@ -128,16 +128,20 @@ def two_sample_chisquare(counts1, counts2, significance: float = 0.01) -> ChiSqu
     nbins - 1 degrees of freedom.  The critical value is the chi-square
     quantile 2 P^-1(dof/2, 1 - significance), scipy's own ``chi2.ppf``;
     scipy is imported here, at its one use, so importing the package does
-    not load it.
+    not load it.  One non-empty bin (0 dof, the point mass at 0) passes with
+    statistic and critical value 0; an empty sample raises ``ValueError``.
     """
-    from scipy.special import gammaincinv
-
     o1 = np.asarray(counts1, dtype=np.float64)
     o2 = np.asarray(counts2, dtype=np.float64)
     keep = (o1 + o2) > 0
     o1, o2 = o1[keep], o2[keep]
     n1, n2 = o1.sum(), o2.sum()
-    stat = float(np.sum((np.sqrt(n2 / n1) * o1 - np.sqrt(n1 / n2) * o2) ** 2 / (o1 + o2)))
+    if n1 == 0 or n2 == 0:
+        raise ValueError("each sample needs a positive count")
     dof = int(o1.size - 1)
+    if dof == 0:
+        return ChiSquareResult(0.0, 0, 0.0, True)
+    from scipy.special import gammaincinv
+    stat = float(np.sum((np.sqrt(n2 / n1) * o1 - np.sqrt(n1 / n2) * o2) ** 2 / (o1 + o2)))
     crit = float(2.0 * gammaincinv(dof / 2, 1 - significance))
     return ChiSquareResult(stat, dof, crit, stat <= crit)

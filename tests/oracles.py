@@ -186,10 +186,12 @@ def transition_prob_mc(
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     if x.size != dim:
         raise ValueError(f"x must have {dim} coordinates")
-    hits = 0
-    for _, pos, live in _kernels.skeletons(dim, total_rate, t, replicas, rng):
-        hits += int(np.sum(np.all(_kernels.endpoints(pos, live) == x, axis=-1)))
-    return tail_estimate(hits, replicas)
+    hit = _kernels.skeletons(
+        dim, total_rate, t, replicas, rng,
+        lambda rows, rng, pos, live: np.all(_kernels.endpoints(pos, live) == x, axis=-1),
+        np.empty(replicas, dtype=bool),
+    )
+    return tail_estimate(int(hit.sum()), replicas)
 
 
 @functools.cache

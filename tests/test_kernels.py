@@ -9,8 +9,9 @@ same laws, which the two-sample KS tests check at fixed seeds.
 ``reference_paths_d1`` and ``reference_local_times_d1`` build the d = 1
 skeleton step by step (unpacked bits, +-1 steps, cumsum) and count visits by
 compressing the live sojourns before ``bincount``; the package kernels read
-positions from a byte table and send dead sojourns to a trash bin, and must
-return the same arrays from the same draws.
+positions from a byte table and count visits in row blocks with dead
+sojourns sent to a trash bin, and must return the same arrays from the same
+draws.
 
 ``reference_vsrw_endpoints`` is the per-step VSRW loop that evaluates the
 field on every active row at every iteration; the package kernel makes the
@@ -23,6 +24,8 @@ are exact second moments that the sampled laws must reproduce, and
 ``oracles.origin_local_time_law`` is the exact law of the d = 1 origin local
 time, whose moments ``local_time_samples`` must reproduce.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,13 +287,15 @@ class TestSkeletonBudget:
         # two rows of 1e12 jumps would take terabytes of positions
         rng, ref = philox(56, dim), philox(56, dim)
         with pytest.raises(JumpBudgetError, match="cells"):
-            next(_kernels.skeletons(dim, 1.0, 1e12, 2, rng))
+            _kernels.skeletons(dim, 1.0, 1e12, 2, rng, lambda *skeleton: 0.0, np.empty(2))
         assert rng.random() == ref.random()
 
     def test_admits_largest_suite_sub_batch(self):
         # ks-scaling at t = 1e5 draws sub-batches of 24 rows x 103825 jump cells
-        rows, pos, live = next(_kernels.skeletons(1, 1.0, 1e5, 10_000, philox(57, 0)))
-        assert rows == slice(0, 24)
+        cut = []
+        _kernels.skeletons(1, 1.0, 1e5, 48, philox(57, 0),
+                           lambda rows, rng, pos, live: cut.append(rows) or 0.0, np.empty(48))
+        assert cut == [slice(0, 24), slice(24, 48)]
 
 
 class TestLocalTimesD1:
@@ -316,6 +321,33 @@ class TestLocalTimesD1:
         pos = np.array([[0, 1, 2, 3, 4], [0, -1, -2, -3, -4], [0, 1, 2, 3, 4]], np.int32)
         live = np.array([[1, 1, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], bool)
         self.check(pos[..., None], live, seed=55)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    def test_row_blocks_match_reference(self, block_rows, monkeypatch):
+        # 7 rows in blocks of 1, 2 or 3: at least three blocks, the last one
+        # short for 2 and 3, and rows whose horizon ends far before m = 61
+        jumps = [0, 3, 60, 5, 1, 60, 12]
+        pos, live = _kernels.srw_paths_batch(1, 1.0, 1.0, 7, PresetJumps(philox(58, 0), jumps))
+        m = pos.shape[1]
+        monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_rows * m + m - 1)
+        self.check(pos, live, seed=59)
+
+
+class TestSubBatchMemory:
+    def test_functional_holds_one_sub_batch(self):
+        # 72 rows at t = 1e5 make three sub-batches of 24; keeping the previous
+        # sub-batch alive while the next is drawn, or an 8-byte visit index
+        # per sojourn, takes the traced peak past 8.5 bytes per jump cell of
+        # one sub-batch (14.0 with the index, 11.6 with the held sub-batch
+        # alone, 6.8 with neither)
+        cells = 24 * _kernels._jump_capacity(1.0, 1e5)
+        tracemalloc.start()
+        try:
+            _kernels.additive_functional_batch(2.0, 1, 1.0, 1e5, 1, 72, tag=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * cells
 
 
 class TestVsrwKernel:

@@ -103,6 +103,23 @@ class TestChiSquare:
         r = stats.two_sample_chisquare([10, 0, 5], [12, 0, 4])
         assert r.dof == 1
 
+    @pytest.mark.parametrize("counts1,counts2", [([5, 0], [0, 0]), ([0, 0], [3, 4]), ([], [])])
+    def test_empty_sample_refused(self, counts1, counts2):
+        with pytest.raises(ValueError, match="positive count"):
+            stats.two_sample_chisquare(counts1, counts2)
+
+    @pytest.mark.parametrize("counts1,counts2", [([5], [5]), ([0, 7, 0], [0, 3, 0])])
+    def test_one_bin_is_point_mass_at_zero(self, counts1, counts2, monkeypatch):
+        # chi-square with 0 dof is the point mass at 0; no quantile is needed
+        import scipy.special
+
+        def no_quantile(*args):
+            raise AssertionError("gammaincinv called at dof 0")
+
+        monkeypatch.setattr(scipy.special, "gammaincinv", no_quantile)
+        r = stats.two_sample_chisquare(counts1, counts2)
+        assert (r.statistic, r.dof, r.critical, r.passed) == (0.0, 0, 0.0, True)
+
     @pytest.mark.parametrize("significance", [0.01, 0.05, 1e-4])
     def test_critical_value_is_chi2_ppf(self, significance):
         # the critical value is scipy's chi2.ppf bit for bit: its quantile
