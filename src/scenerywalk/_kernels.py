@@ -96,9 +96,11 @@ def srw_paths_batch(
     Returns ``(pos, live)``: the sites in visiting order ``pos int32
     (count, m, dim)``, starting at the origin, and the bool mask ``live
     (count, m)`` of the N+1 sojourns made before t, where N ~ Poisson(rate t)
-    is the row's jump count (``live.sum(1) - 1 == N``).  ``m`` is the largest
-    N + 1 of the batch; cells past a row's mask carry no time.  Only N and
-    the steps are drawn: the reducers draw the time spent at each site.
+    is the row's jump count.  ``m`` is the largest N + 1 of the batch; cells
+    past a row's mask carry no time.  The mask is a prefix of each row, built
+    from the counts by :func:`live_mask`, and :func:`sojourn_counts` reads
+    N + 1 back from it.  Only N and the steps are drawn: the reducers draw
+    the time spent at each site.
 
     In d = 1 the steps are the bits of ``(m + 6) // 8`` drawn bytes per row,
     most significant first, bit 1 meaning +1.  Byte i of a row covers
@@ -109,7 +111,7 @@ def srw_paths_batch(
     """
     jumps = rng.poisson(rate * t, size=count)
     m = int(jumps.max(initial=0)) + 1
-    live = np.arange(m) <= jumps[:, None]
+    live = live_mask(jumps, m)
     if dim == 1:
         nbytes = (m + 6) // 8
         raw = rng.integers(0, 256, size=(count, nbytes), dtype=np.uint8)
@@ -130,9 +132,31 @@ def srw_paths_batch(
     return pos, live
 
 
+def live_mask(jumps: np.ndarray, m: int) -> np.ndarray:
+    """Bool ``(rows, m)`` mask whose row r is jumps[r] + 1 True cells, then False cells.
+
+    The mask is laid out as runs: one True run and one (possibly empty)
+    False run per row, which costs a fraction of comparing every column
+    index with the row's count.
+    """
+    runs = np.column_stack((jumps + 1, m - 1 - jumps)).ravel()
+    return np.repeat(np.tile([True, False], jumps.size), runs).reshape(jumps.size, m)
+
+
+def sojourn_counts(live: np.ndarray) -> np.ndarray:
+    """Sojourns N + 1 per row of a :func:`live_mask`, in O(rows) work.
+
+    It is the index of a row's first dead cell, which ``argmin`` stops at,
+    or ``m`` for a row with no dead cell (its last cell is live).
+    """
+    counts = live.argmin(axis=1)
+    counts[live[:, -1]] = live.shape[1]
+    return counts
+
+
 def endpoints(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Sites ``(rows, dim)`` the skeletons occupy at the horizon (last live sojourn)."""
-    return pos[np.arange(pos.shape[0]), live.sum(axis=1) - 1]
+    return pos[np.arange(pos.shape[0]), sojourn_counts(live) - 1]
 
 
 def skeletons(dim: int, rate: float, t: float, count: int, rng: np.random.Generator,
@@ -159,8 +183,28 @@ def skeletons(dim: int, rate: float, t: float, count: int, rng: np.random.Genera
     return out
 
 
+def check_skeleton_budget(rate: float, t: float, count: int) -> None:
+    """Refuse a skeleton kernel call whose expected sojourns exceed ``JUMP_BUDGET``.
+
+    ``count`` walks of Poisson(rate t) jumps make count (rate t + 1)
+    sojourns on average, which bounds both the work of the call and the
+    visit counts its reducers allocate.
+    """
+    expected = count * (rate * t + 1.0)
+    if expected > scenery.JUMP_BUDGET:
+        raise scenery.JumpBudgetError(
+            f"walk kernel expects about {expected:.3g} sojourns (count {count}, rate {rate:g}, "
+            f"t {t:g}), which exceeds the budget {scenery.JUMP_BUDGET}"
+        )
+
+
 def _skeletons(dim: int, rate: float, t: float, master_seed: int, tag, reduce, out: np.ndarray):
-    """:func:`skeletons` over the keyed replica chunks of ``len(out)`` replicas; returns ``out``."""
+    """:func:`skeletons` over the keyed replica chunks of ``len(out)`` replicas; returns ``out``.
+
+    Every simple-walk kernel comes through here, so :func:`check_skeleton_budget`
+    refuses a call over the jump budget here, before the first draw.
+    """
+    check_skeleton_budget(rate, t, len(out))
     for lo, hi, rng in _chunks(master_seed, tag, len(out)):
         skeletons(dim, rate, t, hi - lo, rng, reduce, out, lo)
     return out
@@ -244,7 +288,10 @@ def additive_functional_batch(
     Walk randomness and field seeds both derive from (master_seed, tag,
     chunk).  ``site_weight(sites) -> (rows, k)``, applied to the sites of
     :func:`local_times`, overrides the Pareto field (degenerate-law oracles).
+    The field seeds come from streams of their own, drawn after the budget
+    check, so a refused call draws nothing.
     """
+    check_skeleton_budget(rate, t, count)
     field_seeds = np.empty(count, dtype=np.uint64)
     for lo, hi, rng in _chunks(master_seed, tag, count, CHUNK, 0xF1E1D):
         field_seeds[lo:hi] = rng.integers(0, 2**63, size=hi - lo, dtype=np.uint64)
@@ -272,8 +319,9 @@ def occupation_batch(
     """
 
     def reduce(rows, rng, pos, live):
+        # a new array, not ``&=``: an indicator may return float weights
         hits = np.logical_and(indicator(pos), live).sum(axis=1)
-        sojourns = live.sum(axis=1)
+        sojourns = sojourn_counts(live)
         share = (hits == sojourns).astype(np.float64)
         mixed = (hits > 0) & (hits < sojourns)
         share[mixed] = rng.beta(hits[mixed], sojourns[mixed] - hits[mixed])

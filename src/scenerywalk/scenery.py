@@ -40,7 +40,9 @@ _SM_MUL2 = np.uint64(0x94D049BB133111EB)
 #: Enumeration guard above which :func:`grid_sites` refuses to materialise a box.
 SITE_BUDGET = 1 << 24
 
-#: Expected-jump guard above which the layered VSRW simulators refuse to run.
+#: Expected-jump guard above which the walk kernels refuse to run: the
+#: layered VSRW simulators on their expected jumps, the skeleton kernels on
+#: their expected sojourns count (rate t + 1).
 JUMP_BUDGET = 1 << 32
 
 
@@ -52,8 +54,10 @@ class JumpBudgetError(RuntimeError):
     """Raised when a walk kernel's cost exceeds its budget.
 
     The layered VSRW simulators refuse runs expected to exceed
-    :data:`JUMP_BUDGET` jumps, and the skeleton kernels refuse sub-batches
-    with more jump cells than their memory cap.
+    :data:`JUMP_BUDGET` jumps.  The skeleton kernels refuse calls whose
+    replicas expect more than :data:`JUMP_BUDGET` sojourns in all, and
+    sub-batches with more jump cells than their memory cap.  Every refusal
+    comes before the first draw.
     """
 
 

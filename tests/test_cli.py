@@ -721,6 +721,14 @@ class TestBudgetRefusal:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds" in err and err.count("\n") == 1
 
+    def test_walk_call_over_jump_budget_names_count_t_and_budget(self, capsys):
+        # about 1e12 jumps, hours of work, in sub-batches under the cell cap
+        args = ["simulate", "lln", "--alpha", "2", "--dim", "1", "--t-grid", "100000",
+                "--replicas", "10000000"]
+        assert run_cli(args) == (2, "")
+        err = capsys.readouterr().err
+        assert "count 10000000" in err and "t 100000" in err and "budget 4294967296" in err
+
 
 class TestVerifyCommand:
     def test_fast_suites_pass(self):

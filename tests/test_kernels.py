@@ -281,6 +281,36 @@ class TestSkeletonD1:
         assert fast_rng.random() == slow_rng.random()
 
 
+class TestLiveMask:
+    # one row of N = 0 (m = 1), one row of N = 5, every row at the batch's
+    # maximum N (no dead cell anywhere), and mixed rows
+    CASES = [[0], [5], [0, 0, 0], [7, 7, 7], [0, 3, 9, 1, 9, 4], [9, 0, 8, 2]]
+
+    @pytest.mark.parametrize("jumps", CASES)
+    def test_mask_and_counts_match_broadcast(self, jumps):
+        jumps = np.array(jumps)
+        m = int(jumps.max()) + 1
+        live = _kernels.live_mask(jumps, m)
+        ref = np.arange(m) <= jumps[:, None]
+        assert live.dtype == bool and live.shape == ref.shape
+        assert np.array_equal(live, ref)
+        assert np.array_equal(_kernels.sojourn_counts(live), ref.sum(1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("jumps", CASES)
+    def test_skeleton_endpoints_match_summed_mask(self, dim, jumps):
+        pos, live = _kernels.srw_paths_batch(dim, 1.0, 1.0, len(jumps),
+                                             PresetJumps(philox(60, dim), jumps))
+        assert np.array_equal(live, np.arange(pos.shape[1]) <= np.array(jumps)[:, None])
+        ends = pos[np.arange(len(jumps)), live.sum(1) - 1]
+        assert np.array_equal(_kernels.endpoints(pos, live), ends)
+
+    def test_poisson_batch_counts_match_summed_mask(self):
+        pos, live = _kernels.srw_paths_batch(1, 1.0, 3.0, 2000, philox(61, 0))
+        assert np.any(live[:, -1]) and not np.all(live[:, -1])
+        assert np.array_equal(_kernels.sojourn_counts(live), live.sum(1))
+
+
 class TestSkeletonBudget:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_refuses_before_any_draw(self, dim):
@@ -296,6 +326,29 @@ class TestSkeletonBudget:
         _kernels.skeletons(1, 1.0, 1e5, 48, philox(57, 0),
                            lambda rows, rng, pos, live: cut.append(rows) or 0.0, np.empty(48))
         assert cut == [slice(0, 24), slice(24, 48)]
+
+    @pytest.mark.parametrize("kernel", ["functional", "occupation", "endpoints", "composed"])
+    def test_call_over_jump_budget_refused_before_any_draw(self, monkeypatch, kernel):
+        # 1e7 walks of 1e5 jumps are about 1e12 sojourns, far over 2^32
+        def no_stream(*key):
+            raise AssertionError(f"stream {key} opened by a refused call")
+
+        monkeypatch.setattr(_kernels, "philox", no_stream)
+        call = {
+            "functional": lambda: _kernels.additive_functional_batch(2.0, 1, 1.0, 1e5, 0, 10**7, 0),
+            "occupation": lambda: _kernels.occupation_batch(1, 1.0, 1e5, 0, 10**7, 0, origin),
+            "endpoints": lambda: _kernels.srw_endpoints_batch(1, 1.0, 1e5, 0, 10**7, 0),
+            "composed": lambda: _kernels.composed_endpoints_batch(
+                ConstantField(1.0, 1), 5e4, 0, 10**7, 0),
+        }[kernel]
+        with pytest.raises(JumpBudgetError, match="budget 4294967296"):
+            call()
+
+    def test_admits_largest_suite_call(self):
+        # ks-scaling's t = 1e5 point runs 10^4 walks: about 1e9 sojourns
+        _kernels.check_skeleton_budget(1.0, 1e5, 10**4)
+        with pytest.raises(JumpBudgetError):
+            _kernels.check_skeleton_budget(1.0, 1e5, 5 * 10**4)
 
 
 class TestLocalTimesD1:

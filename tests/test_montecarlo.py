@@ -202,6 +202,18 @@ def _no_draw(*args, **kwargs):
     raise AssertionError("an occupation batch was drawn")
 
 
+class TestOriginIndicator:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_all_coordinates_zero(self, dim):
+        # short horizons put many cells at the origin, and rows of unequal
+        # length leave dead cells, which the indicator also reads
+        pos, live = _kernels.srw_paths_batch(dim, 1.0, 4.0, 500, philox(62, dim))
+        assert not np.all(live)
+        hit = montecarlo._at_origin(pos)
+        assert hit.dtype == bool and np.any(hit[~live]) and not np.all(hit)
+        assert np.array_equal(hit, np.all(pos == 0, axis=-1))
+
+
 class TestChen:
     def test_hand_values(self):
         assert chen_bound(4 / np.e, 1.0, 2.0) == pytest.approx(1.4744, abs=2e-4)

@@ -13,7 +13,12 @@ of rate-1 d = 1 skeletons, as many rows as one kernel call runs at once
 cuts it), and times ``srw_paths_batch`` and then ``local_times`` on its
 output, each from a freshly seeded stream, so every repeat does the same
 work; their figure is ns per sojourn (jump count + 1, summed over the
-rows).  It also times ``vsrw_endpoints_batch`` on the ``vsrw_fixture``
+rows).  At the horizons of the ``occupation`` benchmark it times the
+build of the ``live`` mask from one sub-batch's jump counts
+(``live_mask``), in ns per mask cell, and ``local_time_samples`` (the
+origin-indicator ``occupation_batch``) over one stream chunk of ``CHUNK``
+replicas, in ns per sojourn, in d = 1 and once in d = 2.  It also times
+``vsrw_endpoints_batch`` on the ``vsrw_fixture``
 field at t = 50 with 8192 rows, in ns per simulated jump, and
 ``detour_distance`` from the origin to the ``chemdist_scaling`` target at
 t = 1e5 over 20 field seeds, in seconds and sites evaluated per call.  The
@@ -48,12 +53,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from scenerywalk import _kernels, chemdist, scenery  # noqa: E402
+from scenerywalk import _kernels, chemdist, montecarlo, scenery  # noqa: E402
 from scenerywalk.calibration import CALIBRATION  # noqa: E402
 from scenerywalk.scenery import SceneryField  # noqa: E402
 from scenerywalk.streams import CHUNK, philox  # noqa: E402
 
 HORIZONS = (100.0, 400.0, 1e4, 1e5)
+#: horizons of the occupation benchmark: chen's t and t/b at b = 11
+OCC_HORIZONS = (100.0, 400.0, 400.0 / 11)
+#: (dim, t) of each origin local time case
+OCC_CASES = tuple((1, t) for t in OCC_HORIZONS) + ((2, 400.0),)
 REPEATS = 9
 VSRW_T, VSRW_ROWS = 50.0, 8192
 DETOUR_T, DETOUR_SEEDS = 1e5, range(20)
@@ -161,6 +170,55 @@ def bench_horizon(t: float) -> list[dict]:
         }
         for layer, seconds in (("srw_paths_batch", paths_s), ("local_times", reduce_s))
     ]
+
+
+def bench_live(t: float) -> dict:
+    """``live_mask`` on the jump counts of one rate-1 sub-batch at horizon t."""
+    rows = sub_batch_rows(t)
+    jumps = philox(5, int(t)).poisson(t, size=rows)
+    m = int(jumps.max()) + 1
+    seconds, live = best_of(lambda: _kernels.live_mask(jumps, m))
+    return {
+        "layer": "live_mask",
+        "dim": 1,
+        "t": t,
+        "rows": rows,
+        "cells": live.size,
+        "best_s": seconds,
+        "ns_per_cell": 1e9 * seconds / live.size,
+    }
+
+
+def occupation_sojourns(dim: int, t: float) -> int:
+    """Sojourns of the benchmarked ``local_time_samples`` call, counted in an untimed pass."""
+    counted = []
+    paths = _kernels.srw_paths_batch
+
+    def counting_paths(*args):
+        pos, live = paths(*args)
+        counted.append(int(np.count_nonzero(live)))
+        return pos, live
+
+    _kernels.srw_paths_batch = counting_paths
+    try:
+        montecarlo.local_time_samples(dim, t, CHUNK, seed=1, tag=0)
+    finally:
+        _kernels.srw_paths_batch = paths
+    return sum(counted)
+
+
+def bench_occupation(dim: int, t: float) -> dict:
+    seconds, _ = best_of(lambda: montecarlo.local_time_samples(dim, t, CHUNK, seed=1, tag=0))
+    sojourns = occupation_sojourns(dim, t)
+    return {
+        "layer": "local_time_samples",
+        "dim": dim,
+        "t": t,
+        "rows": CHUNK,
+        "sojourns": sojourns,
+        "best_s": seconds,
+        "ns_per_sojourn": 1e9 * seconds / sojourns,
+    }
 
 
 class _CountingGenerator:
@@ -292,6 +350,8 @@ def _figure(r: dict) -> str:
                 f"{r['scipy_modules']} scipy modules")
     if "ns_per_sojourn" in r:
         return f"{r['ns_per_sojourn']:.2f} ns/sojourn ({r['rows']} rows, {r['sojourns']} sojourns)"
+    if "ns_per_cell" in r:
+        return f"{r['ns_per_cell']:.3f} ns/cell ({r['rows']} rows, {r['cells']} cells)"
     if "ns_per_jump" in r:
         return f"{r['ns_per_jump']:.2f} ns/jump ({r['rows']} rows, {r['jumps']} jumps)"
     if "sites_per_s" in r:
@@ -308,6 +368,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     results = [bench_startup()]
     results += [row for t in HORIZONS for row in bench_horizon(t)]
+    results += [bench_live(t) for t in OCC_HORIZONS]
+    results += [bench_occupation(*case) for case in OCC_CASES]
     results += [bench_vsrw(), bench_detour()]
     results += [bench_site_uniforms(dim, t) for dim, t in HASH_CASES]
     results += [bench_functional_peak(*case) for case in PEAK_CASES]
@@ -320,7 +382,7 @@ def main(argv=None) -> int:
         "numpy_simd": numpy_simd(),
         "machine": platform.machine(),
         "repeats": REPEATS,
-        "statistic": "minimum wall time over the repeats / sojourns, jumps or calls; "
+        "statistic": "minimum wall time over the repeats / sojourns, mask cells, jumps or calls; "
         "sites / minimum wall time; smaller traced peak of two calls / jump cells of one sub-batch; "
         "start-up: minimum process wall time and least child-reported peak RSS over the repeats",
         "results": results,
