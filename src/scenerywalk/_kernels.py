@@ -17,10 +17,12 @@ The reducers draw exactly these variables after the skeleton, so per jump
 only a step, an int32 position and a visit count remain.  In d = 1 a step
 is one random bit, the positions come eight at a time from the drawn bytes
 through one 256-entry table of within-byte prefix positions
-(:data:`_BYTE_PREFIX`), and the visits are counted by one ``bincount`` per
-block of rows.  The explicit-sojourn kernel in ``tests/test_kernels.py`` and
-the event-driven ``simulate_vsrw`` in ``tests/oracles.py`` sample the laws of
-the skeleton and VSRW kernels and serve as their oracles.
+(:data:`_BYTE_PREFIX`), to which each byte's base, repeated over its eight
+positions, is added in blocks of rows, and the visits are counted by one
+``bincount`` per block of rows.  The explicit-sojourn kernel in
+``tests/test_kernels.py`` and the event-driven ``simulate_vsrw`` in
+``tests/oracles.py`` sample the laws of the skeleton and VSRW kernels and
+serve as their oracles.
 
 Randomness comes from Philox streams keyed by (master seed, *tag, chunk
 index) with a fixed chunk size, where ``tag`` is an int or a tuple of ints;
@@ -29,8 +31,10 @@ one sub-batch loop: it draws the rows of one stream in memory-bounded
 sub-batches, each held only by its reducer, which draws from the stream
 after the skeleton and before the next sub-batch.  Results are therefore
 bit-reproducible and independent of the parallelism degree.
-Field values at batched positions come from one lookup, which for d = 1
-evaluates the strip of sites a batch spans once and gathers from it.
+A fixed field's values at batched positions come from one lookup, which
+for d = 1 evaluates the strip of sites a batch spans once and gathers from
+it; the fresh Pareto field of each replica is hashed, in d = 1, only at the
+sites where the replica spent time.
 """
 
 from __future__ import annotations
@@ -45,12 +49,13 @@ _ELEMENT_BUDGET = 2_500_000
 
 #: jump cells of one sub-batch above which :func:`skeletons` refuses to run;
 #: the 16-row floor lets a sub-batch outgrow ``_ELEMENT_BUDGET`` past t of
-#: about 1.5e5.  Measured peaks of ``additive_functional_batch`` are 6.5 bytes
+#: about 1.5e5.  Measured peaks of ``additive_functional_batch`` are 6.3 bytes
 #: per cell in d = 1 at t = 1e5 and 64 to 91 in d = 2 and 3 (``tools/bench.py``),
 #: so the cap holds a sub-batch near 0.07 GB in d = 1 and 0.9 GB in d = 3
 _CELL_CAP = 4 * _ELEMENT_BUDGET
 
-#: sojourn cells per row block of the d = 1 visit count in :func:`local_times`
+#: cells per row block of the d = 1 skeleton build in :func:`srw_paths_batch`
+#: and of the d = 1 visit count in :func:`local_times`
 _BLOCK_CELLS = 2**18
 
 #: replicas per Philox stream of :func:`vsrw_endpoints_batch` (fixed: results depend on it)
@@ -103,24 +108,15 @@ def srw_paths_batch(
     the time spent at each site.
 
     In d = 1 the steps are the bits of ``(m + 6) // 8`` drawn bytes per row,
-    most significant first, bit 1 meaning +1.  Byte i of a row covers
-    positions 1 + 8i ... 8 + 8i: each is the byte's base (the summed steps
-    of bytes 0 ... i-1, one cumsum over the bytes) plus a prefix position
-    read from :data:`_BYTE_PREFIX`.  ``pos`` is then a view of the first m
-    columns of that array, not contiguous.
+    most significant first, bit 1 meaning +1, and :func:`_byte_walk` turns
+    them into positions.  ``pos`` is a view of the first m columns of its
+    array, not contiguous.
     """
     jumps = rng.poisson(rate * t, size=count)
     m = int(jumps.max(initial=0)) + 1
-    live = live_mask(jumps, m)
     if dim == 1:
-        nbytes = (m + 6) // 8
-        raw = rng.integers(0, 256, size=(count, nbytes), dtype=np.uint8)
-        prefix = _BYTE_PREFIX[raw].view(np.int8).reshape(count, nbytes, 8)
-        base = np.zeros((count, nbytes, 1), dtype=np.int32)
-        np.cumsum(prefix[:, :-1, 7], axis=1, dtype=np.int32, out=base[:, 1:, 0])
-        walk = np.empty((count, 1 + 8 * nbytes), dtype=np.int32)
-        walk[:, 0] = 0
-        np.add(base, prefix, out=walk[:, 1:].reshape(count, nbytes, 8))
+        # the bytes are not bound here, so they are freed before the mask is built
+        walk = _byte_walk(rng.integers(0, 256, size=(count, (m + 6) // 8), dtype=np.uint8))
         pos = walk[:, :m, None]
     else:
         coords = rng.integers(0, dim, size=(count, m - 1))
@@ -129,7 +125,37 @@ def srw_paths_batch(
         np.put_along_axis(steps, coords[:, :, None], signs[:, :, None], axis=2)
         pos = np.zeros((count, m, dim), dtype=np.int32)
         np.cumsum(steps, axis=1, out=pos[:, 1:, :])
-    return pos, live
+    return pos, live_mask(jumps, m)
+
+
+def _byte_walk(raw: np.ndarray) -> np.ndarray:
+    """Positions ``int32 (rows, 1 + 8 nbytes)`` of d = 1 walks stepping by the bits of ``raw``.
+
+    ``raw`` is ``uint8 (rows, nbytes)``, bits most significant first, bit 1
+    meaning +1.  Byte i of a row covers positions 1 + 8i ... 8 + 8i: each is
+    the byte's base (the summed steps of bytes 0 ... i-1, one cumsum over the
+    bytes) plus a prefix position read from :data:`_BYTE_PREFIX`.  Each
+    byte's base is repeated over its eight positions in blocks of rows
+    (:func:`_row_blocks`), so the add runs over whole contiguous rows with a
+    temporary of at most ``_BLOCK_CELLS`` cells.
+    """
+    rows, nbytes = raw.shape
+    prefix = _BYTE_PREFIX[raw].view(np.int8)
+    base = np.zeros((rows, nbytes), dtype=np.int32)
+    np.cumsum(prefix.reshape(rows, nbytes, 8)[:, :-1, 7], axis=1, dtype=np.int32, out=base[:, 1:])
+    walk = np.empty((rows, 1 + 8 * nbytes), dtype=np.int32)
+    walk[:, 0] = 0
+    for r0, r1 in _row_blocks(rows, 8 * nbytes):
+        np.add(np.repeat(base[r0:r1], 8, axis=1), prefix[r0:r1], out=walk[r0:r1, 1:])
+    return walk
+
+
+def _row_blocks(rows: int, cells_per_row: int) -> list[tuple[int, int]]:
+    """``(r0, r1)`` row blocks of at most ``_BLOCK_CELLS`` cells, but at least one row.
+
+    A row of no cells (a d = 1 batch that makes no jump) counts as one cell.
+    """
+    return chunk_ranges(rows, max(1, _BLOCK_CELLS // max(1, cells_per_row)))
 
 
 def live_mask(jumps: np.ndarray, m: int) -> np.ndarray:
@@ -225,7 +251,7 @@ def local_times(pos: np.ndarray, live: np.ndarray, t: float, rng: np.random.Gene
         lo = int(pos.min())
         width = int(pos.max()) - lo + 1
         visits = np.empty((rows, width), dtype=np.intp)
-        for r0, r1 in chunk_ranges(rows, max(1, _BLOCK_CELLS // m)):
+        for r0, r1 in _row_blocks(rows, m):
             # cell r * width + x - lo for block row r; sojourns past the horizon go to trash
             n = r1 - r0
             trash = n * width
@@ -245,8 +271,33 @@ def local_times(pos: np.ndarray, live: np.ndarray, t: float, rng: np.random.Gene
     return sites, times
 
 
-def _values_at(values, pos: np.ndarray) -> np.ndarray:
-    """``values(sites)`` at batched positions ``pos (rows, k, dim)``.
+def pareto_values_at(seeds, pos: np.ndarray, alpha: float) -> np.ndarray:
+    """Pareto(alpha) field values at batched positions ``pos (rows, k, dim)``, one field per row.
+
+    ``seeds`` holds the field seed of each row.  Every position is hashed:
+    callers pass only the cells they read.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
+    return scenery.pareto_from_uniform(scenery.site_uniforms(seeds, pos), alpha)
+
+
+def visited_pareto_values(seeds, sites: np.ndarray, times: np.ndarray, alpha: float):
+    """Pareto(alpha) values ``(rows, w)`` of each row's field on a d = 1 strip, 0 where no time is.
+
+    ``sites (rows, w, 1)`` and ``times (rows, w)`` are the output of
+    :func:`local_times`, and ``seeds`` holds the field seed of each row;
+    only the cells with time are hashed.  The result is F-ordered:
+    ``einsum`` sums in an order that follows its operands' strides, so the
+    layout is part of every A_t bit, and the pinned digests hold with it.
+    """
+    z = np.zeros(times.shape, order="F")
+    r, x = np.divmod(np.flatnonzero(times > 0), times.shape[1])
+    z[r, x] = pareto_values_at(np.asarray(seeds)[r], sites[r, x, None], alpha)[:, 0]
+    return z
+
+
+def field_values_at(field, pos: np.ndarray) -> np.ndarray:
+    """Values of a fixed field at batched positions ``pos (rows, k, dim)``.
 
     For d = 1 the strip of sites the batch spans is evaluated once, as a
     ``(1, w, 1)`` site array, and every position gathers its value from it,
@@ -254,23 +305,10 @@ def _values_at(values, pos: np.ndarray) -> np.ndarray:
     evaluate the positions directly.
     """
     if pos.shape[-1] != 1:
-        return values(pos)
+        return field.values(pos)
     lo = int(pos.min())
-    strip = values(np.arange(lo, int(pos.max()) + 1, dtype=np.int64)[None, :, None])
+    strip = field.values(np.arange(lo, int(pos.max()) + 1, dtype=np.int64)[None, :, None])
     return np.take_along_axis(strip, pos[..., 0].astype(np.int64) - lo, axis=1)
-
-
-def pareto_values_at(seeds, pos: np.ndarray, alpha: float) -> np.ndarray:
-    """Pareto(alpha) field values at batched positions, one field per row seed."""
-    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
-    return _values_at(
-        lambda sites: scenery.pareto_from_uniform(scenery.site_uniforms(seeds, sites), alpha), pos
-    )
-
-
-def field_values_at(field, pos: np.ndarray) -> np.ndarray:
-    """Values of a fixed field at batched positions."""
-    return _values_at(field.values, pos)
 
 
 def additive_functional_batch(
@@ -300,6 +338,8 @@ def additive_functional_batch(
         sites, times = local_times(pos, live, t, rng)
         if site_weight is not None:
             z = site_weight(sites)
+        elif dim == 1:
+            z = visited_pareto_values(field_seeds[rows], sites, times, alpha)
         else:
             z = pareto_values_at(field_seeds[rows], sites, alpha)
         return np.einsum("ij,ij->i", z, times)
@@ -320,7 +360,7 @@ def occupation_batch(
 
     def reduce(rows, rng, pos, live):
         # a new array, not ``&=``: an indicator may return float weights
-        hits = np.logical_and(indicator(pos), live).sum(axis=1)
+        hits = np.logical_and(indicator(pos), live).sum(axis=1, dtype=np.int32)
         sojourns = sojourn_counts(live)
         share = (hits == sojourns).astype(np.float64)
         mixed = (hits > 0) & (hits < sojourns)

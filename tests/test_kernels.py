@@ -11,7 +11,10 @@ skeleton step by step (unpacked bits, +-1 steps, cumsum) and count visits by
 compressing the live sojourns before ``bincount``; the package kernels read
 positions from a byte table and count visits in row blocks with dead
 sojourns sent to a trash bin, and must return the same arrays from the same
-draws.
+draws.  ``strip_pareto_values`` is the d = 1 field lookup that hashes each
+row's field over the whole strip and gathers from it; the package kernel
+hashes only the cells with time and must give the same z and the same A_t
+bits.
 
 ``reference_vsrw_endpoints`` is the per-step VSRW loop that evaluates the
 field on every active row at every iteration; the package kernel makes the
@@ -32,11 +35,11 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ive
 
-from scenerywalk import _kernels, montecarlo
+from scenerywalk import _kernels, montecarlo, scenery
 from scenerywalk.calibration import CALIBRATION
 from scenerywalk.scenery import ConstantField, JumpBudgetError, SceneryField
 from scenerywalk.stats import two_sample_chisquare
-from scenerywalk.streams import philox
+from scenerywalk.streams import CHUNK, philox
 
 from oracles import (
     functional_second_moment,
@@ -112,6 +115,28 @@ def reference_local_times_d1(pos, live, t, rng):
     times *= t / times.sum(axis=1, keepdims=True)
     strip = np.arange(lo, lo + width, dtype=np.int32)
     return np.broadcast_to(strip[None, :, None], (rows, width, 1)), times
+
+
+def strip_pareto_values(seeds, sites, alpha):
+    """d = 1 Pareto values ``(rows, w)``: each row's field hashed on the strip and gathered."""
+    pos = sites[..., 0].astype(np.int64)
+    lo = int(pos.min())
+    strip = np.arange(lo, int(pos.max()) + 1, dtype=np.int64)[None, :, None]
+    u = scenery.site_uniforms(np.asarray(seeds, dtype=np.uint64)[:, None], strip)
+    return np.take_along_axis(scenery.pareto_from_uniform(u, alpha), pos - lo, axis=1)
+
+
+def reference_functional_d1(alpha, t, master_seed, count, tag):
+    """d = 1 A_t from the same draws as ``additive_functional_batch``, z by strip gather."""
+    field_seeds = np.empty(count, dtype=np.uint64)
+    for lo, hi, rng in _kernels._chunks(master_seed, tag, count, CHUNK, 0xF1E1D):
+        field_seeds[lo:hi] = rng.integers(0, 2**63, size=hi - lo, dtype=np.uint64)
+
+    def reduce(rows, rng, pos, live):
+        sites, times = _kernels.local_times(pos, live, t, rng)
+        return np.einsum("ij,ij->i", strip_pareto_values(field_seeds[rows], sites, alpha), times)
+
+    return _kernels._skeletons(1, 1.0, t, master_seed, tag, reduce, np.empty(count))
 
 
 class PresetJumps:
@@ -271,6 +296,23 @@ class TestSkeletonD1:
         assert np.array_equal(live, ref_live)
         assert fast_rng.random() == slow_rng.random()
 
+    # mixed lengths (m = 61, 8 bytes per row) and one batch with no jump (m = 1, no byte)
+    @pytest.mark.parametrize("jumps", [[0, 3, 60, 5, 1, 60, 12], [0, 0, 0, 0, 0]])
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    def test_row_blocks_match_reference(self, jumps, block_rows, monkeypatch):
+        # blocks of 1, 2 or 3 rows: at least two blocks, the last one short
+        # for 2 and 3 rows; a row of no byte counts as one cell
+        cells = max(1, 8 * ((max(jumps) + 7) // 8))
+        monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block_rows * cells + cells - 1)
+        fast_rng, slow_rng = philox(62, block_rows), philox(62, block_rows)
+        n = len(jumps)
+        pos, live = _kernels.srw_paths_batch(1, 1.0, 1.0, n, PresetJumps(fast_rng, jumps))
+        ref_pos, ref_live = reference_paths_d1(1.0, 1.0, n, PresetJumps(slow_rng, jumps))
+        assert pos.shape == ref_pos.shape == (n, max(jumps) + 1, 1)
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(live, ref_live)
+        assert fast_rng.random() == slow_rng.random()
+
     def test_long_paths_match_reference(self):
         fast_rng, slow_rng = philox(52, 0), philox(52, 0)
         pos, live = _kernels.srw_paths_batch(1, 1.0, 2e4, 24, fast_rng)
@@ -386,6 +428,31 @@ class TestLocalTimesD1:
         self.check(pos, live, seed=59)
 
 
+class TestVisitedFieldD1:
+    # 1e4 and 1e5 only at small counts: the reference hashes every strip cell
+    CASES = [(c, t) for c in (1, 2, 7, 300) for t in (0.5, 3.0, 100.0, 1e3)]
+    CASES += [(1, 1e4), (7, 1e4), (2, 1e5)]
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 2.0])
+    @pytest.mark.parametrize("count,t", CASES)
+    def test_functional_matches_strip_gather(self, count, t, alpha):
+        tag = (11, count)
+        fast = _kernels.additive_functional_batch(alpha, 1, 1.0, t, 63, count, tag)
+        assert np.array_equal(fast, reference_functional_d1(alpha, t, 63, count, tag))
+
+    @pytest.mark.parametrize("t,count", [(0.5, 40), (100.0, 300), (1e4, 7)])
+    def test_values_match_strip_gather(self, t, count):
+        pos, live = _kernels.srw_paths_batch(1, 1.0, t, count, philox(64, int(t)))
+        sites, times = _kernels.local_times(pos, live, t, philox(65, int(t)))
+        seeds = philox(66, 0).integers(0, 2**63, size=count, dtype=np.uint64)
+        z = _kernels.visited_pareto_values(seeds, sites, times, 0.8)
+        ref = strip_pareto_values(seeds, sites, 0.8)
+        assert z.flags.f_contiguous and z.shape == ref.shape
+        assert np.array_equal(z[times > 0], ref[times > 0])
+        assert np.all(z[times == 0] == 0.0)
+        assert np.array_equal(np.einsum("ij,ij->i", z, times), np.einsum("ij,ij->i", ref, times))
+
+
 class TestSubBatchMemory:
     def test_functional_holds_one_sub_batch(self):
         # 72 rows at t = 1e5 make three sub-batches of 24; keeping the previous
@@ -401,6 +468,24 @@ class TestSubBatchMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8.5 * cells
+
+    def test_occupation_holds_one_sub_batch(self):
+        # one sub-batch of 3725 rows at t = 400, the smaller peak of two calls
+        # (the first call in a process allocates 0.3 bytes per cell more).
+        # The reducer's masks set it at 4.93 bytes per jump cell, and the walk
+        # build must stay under that: building the live mask before the walk
+        # reads 5.13, adding the repeated bases in one block 6.83
+        rows = _kernels._ELEMENT_BUDGET // _kernels._jump_capacity(1.0, 400.0)
+        cells = rows * _kernels._jump_capacity(1.0, 400.0)
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                _kernels.occupation_batch(1, 1.0, 400.0, 1, rows, 0, origin)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert min(peaks) < 5.0 * cells
 
 
 class TestVsrwKernel:

@@ -15,7 +15,9 @@ output, each from a freshly seeded stream, so every repeat does the same
 work; their figure is ns per sojourn (jump count + 1, summed over the
 rows).  At the horizons of the ``occupation`` benchmark it times the
 build of the ``live`` mask from one sub-batch's jump counts
-(``live_mask``), in ns per mask cell, and ``local_time_samples`` (the
+(``live_mask``), in ns per mask cell, and there and at t = 1e5 (24 rows)
+the d = 1 walk build from one sub-batch's drawn bytes (``_byte_walk``), in
+ns per position cell, and ``local_time_samples`` (the
 origin-indicator ``occupation_batch``) over one stream chunk of ``CHUNK``
 replicas, in ns per sojourn, in d = 1 and once in d = 2.  It also times
 ``vsrw_endpoints_batch`` on the ``vsrw_fixture``
@@ -61,6 +63,8 @@ from scenerywalk.streams import CHUNK, philox  # noqa: E402
 HORIZONS = (100.0, 400.0, 1e4, 1e5)
 #: horizons of the occupation benchmark: chen's t and t/b at b = 11
 OCC_HORIZONS = (100.0, 400.0, 400.0 / 11)
+#: horizons of the d = 1 walk build: the occupation horizons and the longest suite horizon
+WALK_HORIZONS = OCC_HORIZONS + (1e5,)
 #: (dim, t) of each origin local time case
 OCC_CASES = tuple((1, t) for t in OCC_HORIZONS) + ((2, 400.0),)
 REPEATS = 9
@@ -186,6 +190,24 @@ def bench_live(t: float) -> dict:
         "cells": live.size,
         "best_s": seconds,
         "ns_per_cell": 1e9 * seconds / live.size,
+    }
+
+
+def bench_walk(t: float) -> dict:
+    """``_byte_walk`` on the drawn bytes of one rate-1 sub-batch at horizon t."""
+    rows = sub_batch_rows(t)
+    rng = philox(6, int(t))
+    m = int(rng.poisson(t, size=rows).max()) + 1
+    raw = rng.integers(0, 256, size=(rows, (m + 6) // 8), dtype=np.uint8)
+    seconds, walk = best_of(lambda: _kernels._byte_walk(raw))
+    return {
+        "layer": "_byte_walk",
+        "dim": 1,
+        "t": t,
+        "rows": rows,
+        "cells": walk.size,
+        "best_s": seconds,
+        "ns_per_cell": 1e9 * seconds / walk.size,
     }
 
 
@@ -369,6 +391,7 @@ def main(argv=None) -> int:
     results = [bench_startup()]
     results += [row for t in HORIZONS for row in bench_horizon(t)]
     results += [bench_live(t) for t in OCC_HORIZONS]
+    results += [bench_walk(t) for t in WALK_HORIZONS]
     results += [bench_occupation(*case) for case in OCC_CASES]
     results += [bench_vsrw(), bench_detour()]
     results += [bench_site_uniforms(dim, t) for dim, t in HASH_CASES]
@@ -382,8 +405,8 @@ def main(argv=None) -> int:
         "numpy_simd": numpy_simd(),
         "machine": platform.machine(),
         "repeats": REPEATS,
-        "statistic": "minimum wall time over the repeats / sojourns, mask cells, jumps or calls; "
-        "sites / minimum wall time; smaller traced peak of two calls / jump cells of one sub-batch; "
+        "statistic": "minimum wall time over the repeats / sojourns, mask or walk cells, jumps or "
+        "calls; sites / minimum wall time; smaller traced peak of two calls / jump cells of one sub-batch; "
         "start-up: minimum process wall time and least child-reported peak RSS over the repeats",
         "results": results,
     }
