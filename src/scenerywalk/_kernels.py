@@ -308,7 +308,9 @@ def field_values_at(field, pos: np.ndarray) -> np.ndarray:
         return field.values(pos)
     lo = int(pos.min())
     strip = field.values(np.arange(lo, int(pos.max()) + 1, dtype=np.int64)[None, :, None])
-    return np.take_along_axis(strip, pos[..., 0].astype(np.int64) - lo, axis=1)
+    # gathered transposed so that the result has F strides: the composed
+    # kernel's einsum sums in stride order, and its pinned A2 bits rest on F
+    return strip[0].take(pos[..., 0].T.astype(np.int64) - lo).T
 
 
 def additive_functional_batch(
@@ -450,7 +452,7 @@ def vsrw_endpoints_batch(field, t: float, master_seed: int, count: int, tag) -> 
         final_cell = np.zeros(n, dtype=np.intp)
         while True:
             rate = rate_ball.take(cell)
-            clock += rng.exponential(1.0, size=idx.size) / rate
+            clock += rng.standard_exponential(idx.size) / rate
             done = clock > t
             if np.any(done):
                 final_x1[idx[done]] = x1[done]

@@ -56,7 +56,6 @@ _KEY_SCALING = 1000
 _KEY_TAIL_RWRS = 2000
 _KEY_TAIL_RCM = 2500
 _KEY_LOCAL_TIME = 3000
-_KEY_CHEN_BASE = 3600
 _KEY_KHASMINSKII = 4000
 _KEY_LEVEL = 5000
 _KEY_VSRW = 6000
@@ -491,6 +490,19 @@ def local_time_samples(dim: int, t: float, replicas: int, seed: int, tag=None) -
     return _kernels.occupation_batch(dim, RWRS_RATE, t, seed, replicas, tag, _at_origin)
 
 
+def origin_local_time_mean(dim: int, t: float) -> float:
+    """Exact E_0 l_t(0) of the rate-1 walk on Z^d started at the origin.
+
+    Each coordinate is an independent rate-1/d walk on Z, at 0 at time u
+    with probability e^(-u/d) I_0(u/d), so E_0 l_t(0) is the integral of
+    (e^(-u/d) I_0(u/d))^d over [0, t].
+    """
+    from scipy.integrate import quad
+    from scipy.special import ive
+
+    return float(quad(lambda u: ive(0, RWRS_RATE * u / dim) ** dim, 0.0, t, limit=200)[0])
+
+
 @dataclass(frozen=True)
 class ChenCheckRow:
     lam: float
@@ -529,20 +541,18 @@ def chen_verify(
     """Check MC tail frequencies of l_t(0) against the Chen-type bound.
 
     One row per lambda of ``_CHEN_LAMBDAS``, at the threshold lambda a(t/b) b.
-    The hypothesis value a(t/b) is the MC estimate of E_0[l_{t/b}(0)] plus a
-    3 sigma safety margin (f is the origin indicator, so the sup over the
-    support is that single expectation).  ``samples`` lets callers reuse one
-    l_t(0) batch across several b values; it must come from
-    :func:`local_time_samples` with the same (dim, t, replicas, seed).
+    The hypothesis value a(t/b) is the exact E_0[l_{t/b}(0)] of
+    :func:`origin_local_time_mean` (f is the origin indicator, so the sup
+    over the support is that single expectation); only l_t(0) is sampled.
+    ``samples`` lets callers reuse one l_t(0) batch across several b values;
+    it must come from :func:`local_time_samples` with the same (dim, t,
+    replicas, seed).
     """
     if b_value <= 1:
         raise ValueError("b_value must exceed 1")
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-    a_replicas = min(replicas, 200_000)
-    base_tag = (_KEY_CHEN_BASE, _float_part(b_value), _float_part(t))
-    base = local_time_samples(dim, t / b_value, a_replicas, seed, tag=base_tag)
-    a_value = float(base.mean() + standard_error(base, sigmas=3))
+    a_value = origin_local_time_mean(dim, t / b_value)
     if samples is None:
         samples = local_time_samples(dim, t, replicas, seed)
     rows = []

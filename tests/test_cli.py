@@ -808,8 +808,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
     def test_cli_runs_without_scipy(self):
-        # scipy is imported only by the chi-square test and the Bessel series,
-        # so the CLI, an exponent table and an lln run leave it unloaded
+        # scipy is imported only by the chi-square test, the Bessel series and
+        # chen's exact mean, so the CLI, an exponent table and an lln run
+        # leave it unloaded
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
@@ -872,8 +873,8 @@ _PINNED = {
 _PINNED_SHA256 = {
     "chemdist csv": "7be803dd84ed8eef003782753ce8c557fce213c4f2827f8633b9a301361d5965",
     "chemdist json": "0dac44978f6e9cf98444428838dce07e209dccf0059ae63ab827fa412c479de2",
-    "chen csv": "c6bae0f23743497af18e3abe53f09cb9ca37ce887e8b5641fd00363e10751d67",
-    "chen json": "178347b1b65ea27d5c112c5f6fbf8866dd075ca6d6cbcda2758732e6168a5340",
+    "chen csv": "fec074f96a91cb24e4652c5cccc47ccb2316340326a671d7add93933fc75759a",
+    "chen json": "53bb7641347ecf52977b1809ca7651ae94282dafe2b5aca3ed138853ff694e18",
     "exponents-displacement csv": "808418ab538bf1e11a42db47b60a6e9bd9db8666a0e9899c450f448fec7227b7",
     "exponents-displacement json": "9230bf9440d4c30c1641bc49e81ab136d92822e8a446cea22244fb5506ca3959",
     "exponents-p csv": "556d9c9a58bfa7d5cc90bd6e386cad8d103d71c3e5c6dd9752e22fb78b69fe2c",

@@ -74,8 +74,8 @@ _CASES = {
 _SHA256 = {
     "chemdist d1": "c36f3a73b0bd5e73b3703a8f84929fd1b7adc989d8bb48c85bfa5b2d2d734ce5",
     "chemdist d2": "8e0482433ff99ee47fdca77e2bb11dd5449891884c0d1a738359c1a5902e2f6a",
-    "chen d1": "919e7f8ebcb58c785d1914acb9af416ec65024607ccd2c4d32838273377ea5f0",
-    "chen d2": "7610921d4cb2d3c19be5cf9aec607087f8df45c6c8625468739ad245b18932e1",
+    "chen d1": "a704854b4bd52f4d26c9bfb2c3c69c4b5cd66a3a938c8a960242b3bae733f08b",
+    "chen d2": "5a615765a65050f0cf22a8b9b8f67e6321c3e2c8f9b9d1f8b1a7b3249fd2cfa6",
     "khasminskii d1": "7a07be1ad53a1dcba072be14bc0dfa42bf0de214c9c2809d0bc5d6f5652f6dd5",
     "khasminskii d2": "16e09379556a7f5eaec9a44fef01b0898fa03ad4b3abf367ab7d2e57d4d1e2fe",
     "level occupation d1": "4b4060d92f8fed98fca555e23d6b203d8caac243459190b1d45ae2f776606735",

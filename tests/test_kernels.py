@@ -14,7 +14,9 @@ sojourns sent to a trash bin, and must return the same arrays from the same
 draws.  ``strip_pareto_values`` is the d = 1 field lookup that hashes each
 row's field over the whole strip and gathers from it; the package kernel
 hashes only the cells with time and must give the same z and the same A_t
-bits.
+bits.  ``strip_field_values`` is the same gather for a fixed field, by
+``take_along_axis``; ``field_values_at`` must return the same values in the
+same memory layout, which fixes the composed kernel's einsum bits.
 
 ``reference_vsrw_endpoints`` is the per-step VSRW loop that evaluates the
 field on every active row at every iteration; the package kernel makes the
@@ -124,6 +126,14 @@ def strip_pareto_values(seeds, sites, alpha):
     strip = np.arange(lo, int(pos.max()) + 1, dtype=np.int64)[None, :, None]
     u = scenery.site_uniforms(np.asarray(seeds, dtype=np.uint64)[:, None], strip)
     return np.take_along_axis(scenery.pareto_from_uniform(u, alpha), pos - lo, axis=1)
+
+
+def strip_field_values(field, sites):
+    """d = 1 fixed-field values ``(rows, k)`` gathered from the strip by ``take_along_axis``."""
+    pos = sites[..., 0].astype(np.int64)
+    lo = int(pos.min())
+    strip = field.values(np.arange(lo, int(pos.max()) + 1, dtype=np.int64)[None, :, None])
+    return np.take_along_axis(strip, pos - lo, axis=1)
 
 
 def reference_functional_d1(alpha, t, master_seed, count, tag):
@@ -450,6 +460,22 @@ class TestVisitedFieldD1:
         assert z.flags.f_contiguous and z.shape == ref.shape
         assert np.array_equal(z[times > 0], ref[times > 0])
         assert np.all(z[times == 0] == 0.0)
+        assert np.array_equal(np.einsum("ij,ij->i", z, times), np.einsum("ij,ij->i", ref, times))
+
+
+class TestFixedFieldD1:
+    @pytest.mark.parametrize("t,count", [(0.5, 40), (50.0, 8192), (1e3, 7)])
+    def test_gather_matches_take_along_axis(self, t, count):
+        # the composed kernel's sites and times on the fixture; its einsum sums
+        # in z's stride order, so a C-ordered z with equal values moves A2 by
+        # up to 8e-16 relative at t = 50
+        fx = CALIBRATION["vsrw_fixture"]
+        field = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
+        pos, live = _kernels.srw_paths_batch(1, 2.0, t, count, philox(67, int(t)))
+        sites, times = _kernels.local_times(pos, live, t, philox(68, int(t)))
+        z = _kernels.field_values_at(field, sites)
+        ref = strip_field_values(field, sites)
+        assert z.flags.f_contiguous == ref.flags.f_contiguous and np.array_equal(z, ref)
         assert np.array_equal(np.einsum("ij,ij->i", z, times), np.einsum("ij,ij->i", ref, times))
 
 

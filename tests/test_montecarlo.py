@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import TableField, transition_prob_mc
+from oracles import TableField, origin_local_time_moment, transition_prob_mc
 from scenerywalk import _kernels, exponents, montecarlo, verify
 from scenerywalk.calibration import CALIBRATION
 from scenerywalk.montecarlo import (
@@ -13,7 +13,9 @@ from scenerywalk.montecarlo import (
     khasminskii_verify,
     level_mean_occupation,
     lln_check,
+    local_time_samples,
     log_transition_prob,
+    origin_local_time_mean,
     scaling_exponent_estimate,
     strategy_lower_bound,
     tail_prob_scan,
@@ -233,7 +235,7 @@ class TestChen:
         assert chen_bound(4 / np.e, 1.0, 5.0) >= 1.0
 
     def test_single_replica_refused_before_any_draw(self, monkeypatch):
-        # one replica has no standard error: the a(t/b) margin would be nan
+        # refused before any draw, as khasminskii_verify refuses it
         monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
         with pytest.raises(ValueError, match="replicas must be >= 2"):
             chen_verify(1, 100.0, 3.0, 1, seed=0)
@@ -242,6 +244,28 @@ class TestChen:
         rep = chen_verify(1, 100.0, 5.0, 100_000, seed=13)
         assert rep.n_violations == 0
         assert rep.a_value > 0
+
+    @pytest.mark.parametrize("dim,t,b", [(1, 100.0, 5.0), (2, 100.0, 3.0), (3, 400.0, 11.0)])
+    def test_a_value_is_exact_mean_without_draws(self, monkeypatch, dim, t, b):
+        monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
+        rep = chen_verify(dim, t, b, 4, seed=0, samples=np.array([0.0, 1.0, 5.0, 40.0]))
+        assert rep.a_value == origin_local_time_mean(dim, t / b)
+
+
+class TestOriginLocalTimeMean:
+    # the appendix horizons t and t/b, b in {3, 5, 11}
+    HORIZONS = [100.0, 400.0] + [t / b for t in (100.0, 400.0) for b in (3.0, 5.0, 11.0)]
+
+    @pytest.mark.parametrize("t", HORIZONS)
+    def test_d1_matches_exact_law(self, t):
+        assert origin_local_time_mean(1, t) == pytest.approx(origin_local_time_moment(t, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_higher_dims_match_samples(self, dim):
+        # z reads +0.16 in d = 2 and +1.66 in d = 3 at this seed
+        occ = local_time_samples(dim, 100.0, 100_000, seed=44, tag=(50, dim))
+        se = occ.std(ddof=1) / np.sqrt(occ.size)
+        assert abs(occ.mean() - origin_local_time_mean(dim, 100.0)) <= 4 * se
 
 
 class TestKhasminskii:
@@ -409,8 +433,8 @@ class TestStreamKeys:
         tags = _record_occupation_tags(monkeypatch, 1.0)
         chen_verify(1, 1016.0, 5.0, 16, seed=0)
         khasminskii_verify(1, 1016.0, 1, 16, seed=0)
-        base, sample, khas = tags
-        assert len({key_word(*base, 0), key_word(*sample, 0), key_word(*khas, 0)}) == 3
+        sample, khas = tags
+        assert key_word(*sample, 0) != key_word(*khas, 0)
 
     def test_level_keys_distinct_for_many_starts_and_seeds(self, monkeypatch):
         tags = _record_occupation_tags(monkeypatch, 0.0)

@@ -19,9 +19,12 @@ build of the ``live`` mask from one sub-batch's jump counts
 the d = 1 walk build from one sub-batch's drawn bytes (``_byte_walk``), in
 ns per position cell, and ``local_time_samples`` (the
 origin-indicator ``occupation_batch``) over one stream chunk of ``CHUNK``
-replicas, in ns per sojourn, in d = 1 and once in d = 2.  It also times
-``vsrw_endpoints_batch`` on the ``vsrw_fixture``
-field at t = 50 with 8192 rows, in ns per simulated jump, and
+replicas, in ns per sojourn, in d = 1 and once in d = 2.  At the six
+(t, b) points of that benchmark it times ``chen_verify`` per call on one
+shared l_t(0) sample of ``CHUNK`` replicas, as the benchmark calls it.  It
+also times ``vsrw_endpoints_batch`` on the ``vsrw_fixture`` field at t = 50
+with 8192 rows, in ns per simulated jump, ``composed_endpoints_batch`` on
+the same field and rows, in ns per jump of its transverse skeleton, and
 ``detour_distance`` from the origin to the ``chemdist_scaling`` target at
 t = 1e5 over 20 field seeds, in seconds and sites evaluated per call.  The
 field stage works on the same sub-batch rows.  It times ``site_uniforms``
@@ -30,9 +33,11 @@ cells of a d = 2 sub-batch at t = 1e4, and takes the tracemalloc peak of
 ``additive_functional_batch`` per jump cell of one sub-batch (its rows times
 the jump capacity that ``skeletons`` budgets) in d = 1 at t = 100, in d = 1
 at t = 1e5 over three sub-batches, so that a sub-batch still held while
-the next is drawn shows, and in d = 2 and 3 at t = 2e5.  Every time comes
-from the minimum over the repeats, every peak from the smaller of two
-calls.  The JSON record also holds the git commit, nproc, the Python, numpy
+the next is drawn shows, and in d = 2 and 3 at t = 2e5.  Every per-unit
+figure comes from the minimum over the repeats, every peak from the smaller
+of two calls; each timed row also keeps the median and quartiles of its
+repeats, since single runs of the same code move by up to about 20% on a
+small host.  The JSON record also holds the git commit, nproc, the Python, numpy
 and scipy versions and numpy's SIMD baseline, dispatch targets and the CPU
 features it found; the same table goes to standard output.
 """
@@ -67,6 +72,8 @@ OCC_HORIZONS = (100.0, 400.0, 400.0 / 11)
 WALK_HORIZONS = OCC_HORIZONS + (1e5,)
 #: (dim, t) of each origin local time case
 OCC_CASES = tuple((1, t) for t in OCC_HORIZONS) + ((2, 400.0),)
+#: (t, b) of each chen_verify call of the occupation benchmark
+CHEN_CASES = tuple((t, b) for t in OCC_HORIZONS[:2] for b in (3.0, 5.0, 11.0))
 REPEATS = 9
 VSRW_T, VSRW_ROWS = 50.0, 8192
 DETOUR_T, DETOUR_SEEDS = 1e5, range(20)
@@ -103,14 +110,20 @@ def numpy_simd() -> dict:
     }
 
 
-def best_of(call) -> tuple[float, object]:
-    """Smallest wall time of ``REPEATS`` calls, and the last result."""
-    best = float("inf")
+def spread(times) -> dict:
+    """Least wall time of the repeats, and their quartiles."""
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return {"best_s": min(times), "q1_s": q1, "median_s": median, "q3_s": q3}
+
+
+def best_of(call) -> tuple[dict, object]:
+    """:func:`spread` of ``REPEATS`` timed calls, and the last result."""
+    times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         result = call()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        times.append(time.perf_counter() - start)
+    return spread(times), result
 
 
 #: run in a fresh interpreter: import the CLI, then report what that cost.
@@ -132,17 +145,17 @@ def bench_startup() -> dict:
     """``import scenerywalk.cli`` in fresh interpreters: least wall time, child-reported peak RSS."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    best, reports = float("inf"), []
+    times, reports = [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-c", STARTUP_PROBE], env=env, capture_output=True, text=True, check=True
         )
-        best = min(best, time.perf_counter() - start)
+        times.append(time.perf_counter() - start)
         reports.append(json.loads(proc.stdout))
     return {
         "layer": "import scenerywalk.cli",
-        "best_s": best,
+        **spread(times),
         "peak_rss_mb": min(r["peak_rss_mb"] for r in reports),
         "scipy_modules": max(r["scipy_modules"] for r in reports),
     }
@@ -156,10 +169,10 @@ def sub_batch_rows(t: float) -> int:
 def bench_horizon(t: float) -> list[dict]:
     """The record of each layer at horizon t."""
     rows = sub_batch_rows(t)
-    paths_s, (pos, live) = best_of(
+    paths_timing, (pos, live) = best_of(
         lambda: _kernels.srw_paths_batch(1, 1.0, t, rows, philox(1, int(t)))
     )
-    reduce_s, _ = best_of(lambda: _kernels.local_times(pos, live, t, philox(2, int(t))))
+    reduce_timing, _ = best_of(lambda: _kernels.local_times(pos, live, t, philox(2, int(t))))
     sojourns = int(live.sum())
     return [
         {
@@ -169,10 +182,10 @@ def bench_horizon(t: float) -> list[dict]:
             "rows": rows,
             "columns": pos.shape[1],
             "sojourns": sojourns,
-            "best_s": seconds,
-            "ns_per_sojourn": 1e9 * seconds / sojourns,
+            **timing,
+            "ns_per_sojourn": 1e9 * timing["best_s"] / sojourns,
         }
-        for layer, seconds in (("srw_paths_batch", paths_s), ("local_times", reduce_s))
+        for layer, timing in (("srw_paths_batch", paths_timing), ("local_times", reduce_timing))
     ]
 
 
@@ -181,15 +194,15 @@ def bench_live(t: float) -> dict:
     rows = sub_batch_rows(t)
     jumps = philox(5, int(t)).poisson(t, size=rows)
     m = int(jumps.max()) + 1
-    seconds, live = best_of(lambda: _kernels.live_mask(jumps, m))
+    timing, live = best_of(lambda: _kernels.live_mask(jumps, m))
     return {
         "layer": "live_mask",
         "dim": 1,
         "t": t,
         "rows": rows,
         "cells": live.size,
-        "best_s": seconds,
-        "ns_per_cell": 1e9 * seconds / live.size,
+        **timing,
+        "ns_per_cell": 1e9 * timing["best_s"] / live.size,
     }
 
 
@@ -199,20 +212,20 @@ def bench_walk(t: float) -> dict:
     rng = philox(6, int(t))
     m = int(rng.poisson(t, size=rows).max()) + 1
     raw = rng.integers(0, 256, size=(rows, (m + 6) // 8), dtype=np.uint8)
-    seconds, walk = best_of(lambda: _kernels._byte_walk(raw))
+    timing, walk = best_of(lambda: _kernels._byte_walk(raw))
     return {
         "layer": "_byte_walk",
         "dim": 1,
         "t": t,
         "rows": rows,
         "cells": walk.size,
-        "best_s": seconds,
-        "ns_per_cell": 1e9 * seconds / walk.size,
+        **timing,
+        "ns_per_cell": 1e9 * timing["best_s"] / walk.size,
     }
 
 
-def occupation_sojourns(dim: int, t: float) -> int:
-    """Sojourns of the benchmarked ``local_time_samples`` call, counted in an untimed pass."""
+def skeleton_sojourns(call) -> int:
+    """Sojourns of the skeletons that ``call()`` draws, counted in an untimed pass."""
     counted = []
     paths = _kernels.srw_paths_batch
 
@@ -223,23 +236,38 @@ def occupation_sojourns(dim: int, t: float) -> int:
 
     _kernels.srw_paths_batch = counting_paths
     try:
-        montecarlo.local_time_samples(dim, t, CHUNK, seed=1, tag=0)
+        call()
     finally:
         _kernels.srw_paths_batch = paths
     return sum(counted)
 
 
 def bench_occupation(dim: int, t: float) -> dict:
-    seconds, _ = best_of(lambda: montecarlo.local_time_samples(dim, t, CHUNK, seed=1, tag=0))
-    sojourns = occupation_sojourns(dim, t)
+    call = lambda: montecarlo.local_time_samples(dim, t, CHUNK, seed=1, tag=0)
+    timing, _ = best_of(call)
+    sojourns = skeleton_sojourns(call)
     return {
         "layer": "local_time_samples",
         "dim": dim,
         "t": t,
         "rows": CHUNK,
         "sojourns": sojourns,
-        "best_s": seconds,
-        "ns_per_sojourn": 1e9 * seconds / sojourns,
+        **timing,
+        "ns_per_sojourn": 1e9 * timing["best_s"] / sojourns,
+    }
+
+
+def bench_chen(t: float, b: float) -> dict:
+    """``chen_verify`` on a shared sample of ``CHUNK`` replicas, as the occupation benchmark calls it."""
+    samples = montecarlo.local_time_samples(1, t, CHUNK, seed=1)
+    timing, _ = best_of(lambda: montecarlo.chen_verify(1, t, b, CHUNK, seed=1, samples=samples))
+    return {
+        "layer": "chen_verify",
+        "dim": 1,
+        "t": t,
+        "b": b,
+        "rows": CHUNK,
+        **timing,
     }
 
 
@@ -276,7 +304,7 @@ def vsrw_jumps(field) -> int:
 def bench_vsrw() -> dict:
     fx = CALIBRATION["vsrw_fixture"]
     field = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
-    seconds, _ = best_of(lambda: _kernels.vsrw_endpoints_batch(field, VSRW_T, 1, VSRW_ROWS, tag=0))
+    timing, _ = best_of(lambda: _kernels.vsrw_endpoints_batch(field, VSRW_T, 1, VSRW_ROWS, tag=0))
     jumps = vsrw_jumps(field)
     return {
         "layer": "vsrw_endpoints_batch",
@@ -284,8 +312,26 @@ def bench_vsrw() -> dict:
         "t": VSRW_T,
         "rows": VSRW_ROWS,
         "jumps": jumps,
-        "best_s": seconds,
-        "ns_per_jump": 1e9 * seconds / jumps,
+        **timing,
+        "ns_per_jump": 1e9 * timing["best_s"] / jumps,
+    }
+
+
+def bench_composed() -> dict:
+    """``composed_endpoints_batch`` on the VSRW's field and rows, per transverse skeleton jump."""
+    fx = CALIBRATION["vsrw_fixture"]
+    field = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
+    call = lambda: _kernels.composed_endpoints_batch(field, VSRW_T, 1, VSRW_ROWS, tag=0)
+    timing, _ = best_of(call)
+    jumps = skeleton_sojourns(call) - VSRW_ROWS
+    return {
+        "layer": "composed_endpoints_batch",
+        "dim": 1,
+        "t": VSRW_T,
+        "rows": VSRW_ROWS,
+        "jumps": jumps,
+        **timing,
+        "ns_per_jump": 1e9 * timing["best_s"] / jumps,
     }
 
 
@@ -304,7 +350,7 @@ def bench_detour() -> dict:
     fields = [SceneryField(alpha=1.0, dim=1, seed=s) for s in DETOUR_SEEDS]
     origin = np.zeros(2, dtype=np.int64)
     target = chemdist.target_site(DETOUR_T, 1.0, 0.0, 1)
-    seconds, _ = best_of(lambda: [chemdist.detour_distance(f, origin, target) for f in fields])
+    timing, _ = best_of(lambda: [chemdist.detour_distance(f, origin, target) for f in fields])
     counters = [_SiteCounter(f) for f in fields]
     for f in counters:
         chemdist.detour_distance(f, origin, target)
@@ -313,8 +359,8 @@ def bench_detour() -> dict:
         "dim": 1,
         "t": DETOUR_T,
         "calls": len(fields),
-        "best_s": seconds,
-        "s_per_call": seconds / len(fields),
+        **timing,
+        "s_per_call": timing["best_s"] / len(fields),
         "sites_per_call": sum(f.sites for f in counters) / len(fields),
     }
 
@@ -326,15 +372,15 @@ def bench_site_uniforms(dim: int, t: float) -> dict:
     seeds = philox(4, int(t)).integers(0, 2**63, size=rows, dtype=np.uint64)[:, None]
     if dim == 1:
         pos = np.arange(pos.min(), pos.max() + 1, dtype=np.int64)[None, :, None]
-    seconds, u = best_of(lambda: scenery.site_uniforms(seeds, pos))
+    timing, u = best_of(lambda: scenery.site_uniforms(seeds, pos))
     return {
         "layer": "site_uniforms",
         "dim": dim,
         "t": t,
         "rows": rows,
         "sites": u.size,
-        "best_s": seconds,
-        "sites_per_s": u.size / seconds,
+        **timing,
+        "sites_per_s": u.size / timing["best_s"],
     }
 
 
@@ -381,6 +427,8 @@ def _figure(r: dict) -> str:
     if "bytes_per_cell" in r:
         return (f"{r['bytes_per_cell']:.1f} B/cell peak ({r['rows']} rows, "
                 f"{r['jump_cells']} cells per sub-batch)")
+    if "b" in r:
+        return f"{1e3 * r['best_s']:.3f} ms/call (b={r['b']:g}, {r['rows']} replicas)"
     return f"{1e3 * r['s_per_call']:.3f} ms/call ({r['sites_per_call']:.0f} sites/call)"
 
 
@@ -393,7 +441,8 @@ def main(argv=None) -> int:
     results += [bench_live(t) for t in OCC_HORIZONS]
     results += [bench_walk(t) for t in WALK_HORIZONS]
     results += [bench_occupation(*case) for case in OCC_CASES]
-    results += [bench_vsrw(), bench_detour()]
+    results += [bench_chen(*case) for case in CHEN_CASES]
+    results += [bench_vsrw(), bench_composed(), bench_detour()]
     results += [bench_site_uniforms(dim, t) for dim, t in HASH_CASES]
     results += [bench_functional_peak(*case) for case in PEAK_CASES]
     record = {
@@ -407,7 +456,9 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "statistic": "minimum wall time over the repeats / sojourns, mask or walk cells, jumps or "
         "calls; sites / minimum wall time; smaller traced peak of two calls / jump cells of one sub-batch; "
-        "start-up: minimum process wall time and least child-reported peak RSS over the repeats",
+        "start-up: minimum process wall time and least child-reported peak RSS over the repeats; "
+        "every timed row also holds the minimum (best_s) and the quartiles (q1_s, median_s, q3_s) "
+        "of its repeats' wall times",
         "results": results,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
