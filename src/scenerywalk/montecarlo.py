@@ -257,7 +257,7 @@ def tail_prob_scan(
         if rho is None:
             raise ValueError("rwrs scan needs rho")
         regime = exponents.p_exponent(alpha, rho, dim).regime
-        if rho > 1 and regime not in (exponents.POLYNOMIAL,):
+        if rho > 1 and regime != exponents.POLYNOMIAL:
             raise StretchedRegimeError(
                 f"(alpha={alpha}, rho={rho}, d={dim}) is in the {regime!r} regime, where the "
                 "paper's quenched tail P^z(A_t >= t^rho) decays stretched-exponentially; "
@@ -550,8 +550,6 @@ def chen_verify(
     """
     if b_value <= 1:
         raise ValueError("b_value must exceed 1")
-    if replicas < 2:
-        raise ValueError("replicas must be >= 2")
     a_value = origin_local_time_mean(dim, t / b_value)
     if samples is None:
         samples = local_time_samples(dim, t, replicas, seed)

@@ -50,9 +50,9 @@ def wilson_ci(successes, trials: int):
     return lo, hi
 
 
-def standard_error(x, sigmas: float = 1) -> float:
-    """``sigmas`` standard errors of a sample mean, rounded as (sigmas std(ddof=1)) / sqrt(size)."""
-    return float(sigmas * x.std(ddof=1) / np.sqrt(x.size))
+def standard_error(x) -> float:
+    """Standard error of a sample mean, rounded as std(ddof=1) / sqrt(size)."""
+    return float(x.std(ddof=1) / np.sqrt(x.size))
 
 
 def tail_estimate(successes: int, trials: int) -> TailEstimate:

@@ -913,11 +913,18 @@ class TestOutputBytes:
         two = run_cli(_PINNED[name] + ["--jobs", "2"])
         assert one == two and one[0] == 0
 
-    @pytest.mark.parametrize("task", ["chen", "khasminskii"])
+    # khasminskii's 3 sigma slack needs the standard error of two replicas
+    @pytest.mark.parametrize("task", ["khasminskii"])
     def test_single_replica_verifier_refused(self, capsys, task):
         args = ["simulate", task, "--t-grid", "100", "--replicas", "1", *_SIM]
         assert run_cli(args) == (2, "")
         assert capsys.readouterr().err.endswith("error: replicas must be >= 2\n")
+
+    def test_single_replica_chen_runs(self):
+        # chen's a(t/b) is exact, so one sampled replica is enough
+        code, out = run_cli(["simulate", "chen", "--t-grid", "100", "--replicas", "1", *_SIM])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 4  # the header and one row per lambda
 
     @pytest.mark.parametrize(
         "task, t_grid, message",

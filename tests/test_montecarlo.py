@@ -234,12 +234,6 @@ class TestChen:
         # bound >= 1 whenever lambda <= 4/e
         assert chen_bound(4 / np.e, 1.0, 5.0) >= 1.0
 
-    def test_single_replica_refused_before_any_draw(self, monkeypatch):
-        # refused before any draw, as khasminskii_verify refuses it
-        monkeypatch.setattr(_kernels, "occupation_batch", _no_draw)
-        with pytest.raises(ValueError, match="replicas must be >= 2"):
-            chen_verify(1, 100.0, 3.0, 1, seed=0)
-
     def test_verify_no_violations_small(self):
         rep = chen_verify(1, 100.0, 5.0, 100_000, seed=13)
         assert rep.n_violations == 0

@@ -72,7 +72,6 @@ class TestStandardError:
     def test_multiple_applied_before_division(self):
         x = philox(5, 1).exponential(size=1001)
         assert stats.standard_error(x) == x.std(ddof=1) / np.sqrt(1001)
-        assert stats.standard_error(x, sigmas=3) == 3 * x.std(ddof=1) / np.sqrt(1001)
 
 
 class TestKsStatistic:

@@ -41,3 +41,13 @@ def test_every_package_reference_exists(name):
     missing = [f"{owner}.{attr}" for owner, attr in sorted(refs)
                if not hasattr(getattr(tool, owner), attr)]
     assert not missing
+
+
+def test_timed_row_carries_timing_and_unit(monkeypatch):
+    bench = _load("bench")
+    monkeypatch.setattr(bench, "REPEATS", 2)
+    row = bench.timed("noop", {"dim": 1}, lambda: [0] * 10, lambda out: {"values": len(out)}, "ns_per_value")
+    assert {"layer", "dim", "values", "best_s", "q1_s", "median_s", "q3_s", "ns_per_value"} == row.keys()
+    assert row["ns_per_value"] == 1e9 * row["best_s"] / 10
+    rate = bench.timed("noop", {}, lambda: None, lambda _: {"sites": 10}, "sites_per_s")
+    assert rate["sites_per_s"] == 10 / rate["best_s"]

@@ -5,46 +5,33 @@ Run from the repository root:
 
     python tools/bench.py --out BENCH_<n>.json
 
-It first times ``import scenerywalk.cli`` in a fresh interpreter: the
-process wall time, the peak RSS (VmHWM) the child reports and the number
-of scipy modules it has loaded.  For each horizon t it draws one sub-batch
-of rate-1 d = 1 skeletons, as many rows as one kernel call runs at once
-(one stream chunk of at most ``CHUNK`` rows, cut as ``_kernels.skeletons``
-cuts it), and times ``srw_paths_batch`` and then ``local_times`` on its
-output, each from a freshly seeded stream, so every repeat does the same
-work; their figure is ns per sojourn (jump count + 1, summed over the
-rows).  At the horizons of the ``occupation`` benchmark it times the
-build of the ``live`` mask from one sub-batch's jump counts
-(``live_mask``), in ns per mask cell, and there and at t = 1e5 (24 rows)
-the d = 1 walk build from one sub-batch's drawn bytes (``_byte_walk``), in
-ns per position cell, and ``local_time_samples`` (the
-origin-indicator ``occupation_batch``) over one stream chunk of ``CHUNK``
-replicas, in ns per sojourn, in d = 1 and once in d = 2.  At the six
-(t, b) points of that benchmark it times ``chen_verify`` per call on one
-shared l_t(0) sample of ``CHUNK`` replicas, as the benchmark calls it.  It
-also times ``vsrw_endpoints_batch`` on the ``vsrw_fixture`` field at t = 50
-with 8192 rows, in ns per simulated jump, ``composed_endpoints_batch`` on
-the same field and rows, in ns per jump of its transverse skeleton, and
-``detour_distance`` from the origin to the ``chemdist_scaling`` target at
-t = 1e5 over 20 field seeds, in seconds and sites evaluated per call.  The
-field stage works on the same sub-batch rows.  It times ``site_uniforms``
-in sites/s on the per-row strip of a d = 1 sub-batch at t = 100 and on the
-cells of a d = 2 sub-batch at t = 1e4, and takes the tracemalloc peak of
-``additive_functional_batch`` per jump cell of one sub-batch (its rows times
-the jump capacity that ``skeletons`` budgets) in d = 1 at t = 100, in d = 1
-at t = 1e5 over three sub-batches, so that a sub-batch still held while
-the next is drawn shows, and in d = 2 and 3 at t = 2e5.  Every per-unit
-figure comes from the minimum over the repeats, every peak from the smaller
-of two calls; each timed row also keeps the median and quartiles of its
-repeats, since single runs of the same code move by up to about 20% on a
-small host.  The JSON record also holds the git commit, nproc, the Python, numpy
-and scipy versions and numpy's SIMD baseline, dispatch targets and the CPU
-features it found; the same table goes to standard output.
+:func:`stages` is the stage table.  Each ``yield`` is one record row: its
+layer, where it runs (``dim``, ``t``, ``rows``, ``b``, ...), the call it
+measures and how that call's work is counted, under a one-line comment on
+what it measures.  The rules, stated once:
+
+* :func:`timed` runs the call ``REPEATS`` times and keeps the least wall time
+  (``best_s``) and the quartiles (``q1_s``, ``median_s``, ``q3_s``): single
+  runs of the same code move by up to about 20% on a small host.  A call
+  that draws keys a fresh stream, so every repeat does the same work.
+* Work is counted outside the timed calls, from the last result or in one
+  more pass with a package attribute swapped for a counting wrapper
+  (:func:`swapped`).  A unit ``<time>_per_<unit>`` is the least time in ns,
+  ms or s per counted ``<unit>s``; ``<units>_per_s`` is counted units per s.
+* A kernel row runs one sub-batch: the rows of one stream chunk of at most
+  ``CHUNK`` rate-1 skeletons, cut as ``_kernels.skeletons`` cuts it.
+* :func:`traced` keeps the smaller tracemalloc peak of two calls, per jump
+  cell of one sub-batch (its rows times the jump capacity it is budgeted).
+
+The JSON record also holds the git commit, nproc, the Python, numpy and scipy
+versions and numpy's SIMD baseline, dispatch targets and the CPU features it
+found; the same rows go to standard output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.metadata
 import json
 import os
@@ -62,7 +49,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from scenerywalk import _kernels, chemdist, montecarlo, scenery  # noqa: E402
 from scenerywalk.calibration import CALIBRATION  # noqa: E402
-from scenerywalk.scenery import SceneryField  # noqa: E402
 from scenerywalk.streams import CHUNK, philox  # noqa: E402
 
 HORIZONS = (100.0, 400.0, 1e4, 1e5)
@@ -78,8 +64,13 @@ REPEATS = 9
 VSRW_T, VSRW_ROWS = 50.0, 8192
 DETOUR_T, DETOUR_SEEDS = 1e5, range(20)
 HASH_CASES = ((1, 100.0), (2, 1e4))
+PARETO_ALPHA = 0.8
+#: field seed and box of the metric-axiom suite's first 5x5 sweep
+METRIC_SEED, METRIC_BOX = 40_000, ((0, 4), (0, 4))
 #: (dim, t, sub-batches) of each functional peak
 PEAK_CASES = ((1, 100.0, 1), (1, 1e5, 3), (2, 2e5, 1), (3, 2e5, 1))
+#: seconds to the time unit of a per-unit key, by its prefix
+SCALES = {"ns": 1e9, "ms": 1e3, "s": 1.0}
 
 
 def git_commit() -> str:
@@ -110,20 +101,102 @@ def numpy_simd() -> dict:
     }
 
 
-def spread(times) -> dict:
-    """Least wall time of the repeats, and their quartiles."""
-    q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return {"best_s": min(times), "q1_s": q1, "median_s": median, "q3_s": q3}
+def timed(layer: str, place: dict, call, count, unit: str | None = None) -> dict:
+    """The record row of ``REPEATS`` timed calls: ``place``, the counts, the timing and the unit.
 
-
-def best_of(call) -> tuple[dict, object]:
-    """:func:`spread` of ``REPEATS`` timed calls, and the last result."""
+    ``count(result)`` gets the last call's result and returns the row's counts.
+    """
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
-    return spread(times), result
+    counts = count(result)
+    best = min(times)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    row = {"layer": layer, **place, **counts, "best_s": best, "q1_s": q1, "median_s": median, "q3_s": q3}
+    if unit:
+        top, bottom = unit.split("_per_")
+        row[unit] = counts[top] / best if bottom == "s" else SCALES[top] * best / counts[bottom + "s"]
+    return row
+
+
+def traced(layer: str, place: dict, call, counts: dict) -> dict:
+    """The record row of the smaller tracemalloc peak of two calls, per jump cell."""
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    peak = min(peaks)
+    return {"layer": layer, **place, **counts, "peak_bytes": peak,
+            "bytes_per_cell": peak / counts["jump_cells"]}
+
+
+@contextlib.contextmanager
+def swapped(owner, original, replacement):
+    """``owner``'s attribute ``original`` replaced by ``replacement`` inside the block, restored after."""
+    setattr(owner, original.__name__, replacement)
+    try:
+        yield
+    finally:
+        setattr(owner, original.__name__, original)
+
+
+def tally(owner, original, count, call) -> int:
+    """Sum of ``count(out)`` over the outputs of ``owner``'s attribute ``original`` as ``call()`` runs."""
+    counted = []
+
+    def counting(*args):
+        out = original(*args)
+        counted.append(int(count(out)))
+        return out
+
+    with swapped(owner, original, counting):
+        call()
+    return sum(counted)
+
+
+def skeleton_sojourns(call) -> int:
+    """Sojourns of the skeletons that ``call()`` draws."""
+    return tally(_kernels, _kernels.srw_paths_batch, lambda out: np.count_nonzero(out[1]), call)
+
+
+def vsrw_jumps(call) -> int:
+    """Jumps of the VSRW that ``call()`` simulates: the uniforms its streams draw, one per jump."""
+    drawn = []
+
+    class Counting(np.random.Generator):
+        def random(self, size=None):
+            drawn.append(int(np.prod(size)))
+            return super().random(size)
+
+    with swapped(_kernels, _kernels.philox, lambda *key: Counting(philox(*key).bit_generator)):
+        call()
+    return sum(drawn)
+
+
+def sub_batch_rows(t: float) -> int:
+    """Rows of one rate-1 sub-batch of a kernel call: one chunk, cut as ``skeletons`` cuts it."""
+    return min(CHUNK, max(16, _kernels._ELEMENT_BUDGET // _kernels._jump_capacity(1.0, t)))
+
+
+def where(dim: int, t: float, rows: int | None = None, **more) -> dict:
+    """Where a row runs; ``rows`` defaults to one sub-batch at horizon t."""
+    return {"dim": dim, "t": t, "rows": sub_batch_rows(t) if rows is None else rows, **more}
+
+
+def hashed_sites(dim: int, t: float) -> tuple:
+    """Seeds and sites that one sub-batch hashes: the d = 1 strip per row, or every cell."""
+    rows = sub_batch_rows(t)
+    pos, _ = _kernels.srw_paths_batch(dim, 1.0, t, rows, philox(3, int(t)))
+    seeds = philox(4, int(t)).integers(0, 2**63, size=rows, dtype=np.uint64)[:, None]
+    if dim == 1:
+        pos = np.arange(pos.min(), pos.max() + 1, dtype=np.int64)[None, :, None]
+    return seeds, pos
 
 
 #: run in a fresh interpreter: import the CLI, then report what that cost.
@@ -141,310 +214,105 @@ print(json.dumps({
 """
 
 
-def bench_startup() -> dict:
-    """``import scenerywalk.cli`` in fresh interpreters: least wall time, child-reported peak RSS."""
+def stages():
+    """The stage table: each ``yield`` is one measured record row."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    times, reports = [], []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE], env=env, capture_output=True, text=True, check=True
-        )
-        times.append(time.perf_counter() - start)
+    reports = []
+
+    def launch():
+        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, check=True)
         reports.append(json.loads(proc.stdout))
-    return {
-        "layer": "import scenerywalk.cli",
-        **spread(times),
+
+    # import scenerywalk.cli in a fresh interpreter: process wall time, least peak RSS, scipy modules loaded
+    yield timed("import scenerywalk.cli", {}, launch, lambda _: {
         "peak_rss_mb": min(r["peak_rss_mb"] for r in reports),
-        "scipy_modules": max(r["scipy_modules"] for r in reports),
-    }
-
-
-def sub_batch_rows(t: float) -> int:
-    """Rows of one rate-1 sub-batch of a kernel call: one chunk, cut as ``skeletons`` cuts it."""
-    return min(CHUNK, max(16, _kernels._ELEMENT_BUDGET // _kernels._jump_capacity(1.0, t)))
-
-
-def bench_horizon(t: float) -> list[dict]:
-    """The record of each layer at horizon t."""
-    rows = sub_batch_rows(t)
-    paths_timing, (pos, live) = best_of(
-        lambda: _kernels.srw_paths_batch(1, 1.0, t, rows, philox(1, int(t)))
-    )
-    reduce_timing, _ = best_of(lambda: _kernels.local_times(pos, live, t, philox(2, int(t))))
-    sojourns = int(live.sum())
-    return [
-        {
-            "layer": layer,
-            "dim": 1,
-            "t": t,
-            "rows": rows,
-            "columns": pos.shape[1],
-            "sojourns": sojourns,
-            **timing,
-            "ns_per_sojourn": 1e9 * timing["best_s"] / sojourns,
-        }
-        for layer, timing in (("srw_paths_batch", paths_timing), ("local_times", reduce_timing))
-    ]
-
-
-def bench_live(t: float) -> dict:
-    """``live_mask`` on the jump counts of one rate-1 sub-batch at horizon t."""
-    rows = sub_batch_rows(t)
-    jumps = philox(5, int(t)).poisson(t, size=rows)
-    m = int(jumps.max()) + 1
-    timing, live = best_of(lambda: _kernels.live_mask(jumps, m))
-    return {
-        "layer": "live_mask",
-        "dim": 1,
-        "t": t,
-        "rows": rows,
-        "cells": live.size,
-        **timing,
-        "ns_per_cell": 1e9 * timing["best_s"] / live.size,
-    }
-
-
-def bench_walk(t: float) -> dict:
-    """``_byte_walk`` on the drawn bytes of one rate-1 sub-batch at horizon t."""
-    rows = sub_batch_rows(t)
-    rng = philox(6, int(t))
-    m = int(rng.poisson(t, size=rows).max()) + 1
-    raw = rng.integers(0, 256, size=(rows, (m + 6) // 8), dtype=np.uint8)
-    timing, walk = best_of(lambda: _kernels._byte_walk(raw))
-    return {
-        "layer": "_byte_walk",
-        "dim": 1,
-        "t": t,
-        "rows": rows,
-        "cells": walk.size,
-        **timing,
-        "ns_per_cell": 1e9 * timing["best_s"] / walk.size,
-    }
-
-
-def skeleton_sojourns(call) -> int:
-    """Sojourns of the skeletons that ``call()`` draws, counted in an untimed pass."""
-    counted = []
-    paths = _kernels.srw_paths_batch
-
-    def counting_paths(*args):
-        pos, live = paths(*args)
-        counted.append(int(np.count_nonzero(live)))
-        return pos, live
-
-    _kernels.srw_paths_batch = counting_paths
-    try:
-        call()
-    finally:
-        _kernels.srw_paths_batch = paths
-    return sum(counted)
-
-
-def bench_occupation(dim: int, t: float) -> dict:
-    call = lambda: montecarlo.local_time_samples(dim, t, CHUNK, seed=1, tag=0)
-    timing, _ = best_of(call)
-    sojourns = skeleton_sojourns(call)
-    return {
-        "layer": "local_time_samples",
-        "dim": dim,
-        "t": t,
-        "rows": CHUNK,
-        "sojourns": sojourns,
-        **timing,
-        "ns_per_sojourn": 1e9 * timing["best_s"] / sojourns,
-    }
-
-
-def bench_chen(t: float, b: float) -> dict:
-    """``chen_verify`` on a shared sample of ``CHUNK`` replicas, as the occupation benchmark calls it."""
-    samples = montecarlo.local_time_samples(1, t, CHUNK, seed=1)
-    timing, _ = best_of(lambda: montecarlo.chen_verify(1, t, b, CHUNK, seed=1, samples=samples))
-    return {
-        "layer": "chen_verify",
-        "dim": 1,
-        "t": t,
-        "b": b,
-        "rows": CHUNK,
-        **timing,
-    }
-
-
-class _CountingGenerator:
-    """Generator stand-in that counts the uniforms drawn, one per VSRW jump."""
-
-    def __init__(self, rng):
-        self.rng, self.uniforms = rng, 0
-
-    def random(self, size=None):
-        self.uniforms += int(np.prod(size))
-        return self.rng.random(size)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
-def vsrw_jumps(field) -> int:
-    """Jumps the benchmarked VSRW call simulates (an untimed pass that counts draws)."""
-    streams = []
-
-    def counting_philox(*key):
-        streams.append(_CountingGenerator(philox(*key)))
-        return streams[-1]
-
-    _kernels.philox = counting_philox
-    try:
-        _kernels.vsrw_endpoints_batch(field, VSRW_T, 1, VSRW_ROWS, tag=0)
-    finally:
-        _kernels.philox = philox
-    return sum(s.uniforms for s in streams)
-
-
-def bench_vsrw() -> dict:
+        "scipy_modules": max(r["scipy_modules"] for r in reports)})
+    for t in HORIZONS:
+        at = where(1, t)
+        draw = lambda: _kernels.srw_paths_batch(1, 1.0, t, at["rows"], philox(1, int(t)))
+        pos, live = draw()
+        counts = {"columns": pos.shape[1], "sojourns": int(live.sum())}
+        # skeleton draw of one d = 1 sub-batch, per sojourn (jump count + 1, summed over the rows)
+        yield timed("srw_paths_batch", at, draw, lambda _: counts, "ns_per_sojourn")
+        # origin local times of those skeletons
+        yield timed("local_times", at, lambda: _kernels.local_times(pos, live, t, philox(2, int(t))),
+                    lambda _: counts, "ns_per_sojourn")
+    for t in OCC_HORIZONS:
+        jumps = philox(5, int(t)).poisson(t, size=sub_batch_rows(t))
+        m = int(jumps.max()) + 1
+        # live mask from one sub-batch's jump counts
+        yield timed("live_mask", where(1, t), lambda: _kernels.live_mask(jumps, m),
+                    lambda live: {"cells": live.size}, "ns_per_cell")
+    for t in WALK_HORIZONS:
+        rng = philox(6, int(t))
+        m = int(rng.poisson(t, size=sub_batch_rows(t)).max()) + 1
+        raw = rng.integers(0, 256, size=(sub_batch_rows(t), (m + 6) // 8), dtype=np.uint8)
+        # d = 1 walk build from one sub-batch's drawn bytes, per position cell
+        yield timed("_byte_walk", where(1, t), lambda: _kernels._byte_walk(raw),
+                    lambda walk: {"cells": walk.size}, "ns_per_cell")
+    for dim, t in OCC_CASES:
+        call = lambda: montecarlo.local_time_samples(dim, t, CHUNK, seed=1, tag=0)
+        # origin-indicator occupation over one stream chunk of replicas
+        yield timed("local_time_samples", where(dim, t, CHUNK), call,
+                    lambda _: {"sojourns": skeleton_sojourns(call)}, "ns_per_sojourn")
+    for t, b in CHEN_CASES:
+        samples = montecarlo.local_time_samples(1, t, CHUNK, seed=1)
+        # one chen check on a shared l_t(0) sample, as the occupation benchmark calls it
+        yield timed("chen_verify", where(1, t, CHUNK, b=b),
+                    lambda: montecarlo.chen_verify(1, t, b, CHUNK, seed=1, samples=samples), lambda _: {})
     fx = CALIBRATION["vsrw_fixture"]
-    field = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
-    timing, _ = best_of(lambda: _kernels.vsrw_endpoints_batch(field, VSRW_T, 1, VSRW_ROWS, tag=0))
-    jumps = vsrw_jumps(field)
-    return {
-        "layer": "vsrw_endpoints_batch",
-        "dim": 1,
-        "t": VSRW_T,
-        "rows": VSRW_ROWS,
-        "jumps": jumps,
-        **timing,
-        "ns_per_jump": 1e9 * timing["best_s"] / jumps,
-    }
-
-
-def bench_composed() -> dict:
-    """``composed_endpoints_batch`` on the VSRW's field and rows, per transverse skeleton jump."""
-    fx = CALIBRATION["vsrw_fixture"]
-    field = SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
+    field = scenery.SceneryField(alpha=fx["alpha"], dim=1, seed=fx["seed"])
+    call = lambda: _kernels.vsrw_endpoints_batch(field, VSRW_T, 1, VSRW_ROWS, tag=0)
+    # VSRW on the time-change suite's field, per simulated jump
+    yield timed("vsrw_endpoints_batch", where(1, VSRW_T, VSRW_ROWS), call,
+                lambda _: {"jumps": vsrw_jumps(call)}, "ns_per_jump")
     call = lambda: _kernels.composed_endpoints_batch(field, VSRW_T, 1, VSRW_ROWS, tag=0)
-    timing, _ = best_of(call)
-    jumps = skeleton_sojourns(call) - VSRW_ROWS
-    return {
-        "layer": "composed_endpoints_batch",
-        "dim": 1,
-        "t": VSRW_T,
-        "rows": VSRW_ROWS,
-        "jumps": jumps,
-        **timing,
-        "ns_per_jump": 1e9 * timing["best_s"] / jumps,
-    }
-
-
-class _SiteCounter:
-    """Field wrapper that counts the sites evaluated."""
-
-    def __init__(self, field):
-        self.field, self.dim, self.sites = field, field.dim, 0
-
-    def values(self, sites):
-        self.sites += len(sites)
-        return self.field.values(sites)
-
-
-def bench_detour() -> dict:
-    fields = [SceneryField(alpha=1.0, dim=1, seed=s) for s in DETOUR_SEEDS]
-    origin = np.zeros(2, dtype=np.int64)
-    target = chemdist.target_site(DETOUR_T, 1.0, 0.0, 1)
-    timing, _ = best_of(lambda: [chemdist.detour_distance(f, origin, target) for f in fields])
-    counters = [_SiteCounter(f) for f in fields]
-    for f in counters:
-        chemdist.detour_distance(f, origin, target)
-    return {
-        "layer": "detour_distance",
-        "dim": 1,
-        "t": DETOUR_T,
-        "calls": len(fields),
-        **timing,
-        "s_per_call": timing["best_s"] / len(fields),
-        "sites_per_call": sum(f.sites for f in counters) / len(fields),
-    }
-
-
-def bench_site_uniforms(dim: int, t: float) -> dict:
-    """``site_uniforms`` on what one sub-batch hashes: the d = 1 strip per row, or every cell."""
-    rows = sub_batch_rows(t)
-    pos, _ = _kernels.srw_paths_batch(dim, 1.0, t, rows, philox(3, int(t)))
-    seeds = philox(4, int(t)).integers(0, 2**63, size=rows, dtype=np.uint64)[:, None]
-    if dim == 1:
-        pos = np.arange(pos.min(), pos.max() + 1, dtype=np.int64)[None, :, None]
-    timing, u = best_of(lambda: scenery.site_uniforms(seeds, pos))
-    return {
-        "layer": "site_uniforms",
-        "dim": dim,
-        "t": t,
-        "rows": rows,
-        "sites": u.size,
-        **timing,
-        "sites_per_s": u.size / timing["best_s"],
-    }
-
-
-def traced_peak(call) -> int:
-    """Peak bytes that tracemalloc traces during ``call()``."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def bench_functional_peak(dim: int, t: float, sub_batches: int) -> dict:
-    rows = sub_batch_rows(t)
-    cells = rows * _kernels._jump_capacity(1.0, t)
-    call = lambda: _kernels.additive_functional_batch(2.0, dim, 1.0, t, 1, sub_batches * rows, tag=0)
-    peak = min(traced_peak(call) for _ in range(2))
-    return {
-        "layer": "additive_functional_batch",
-        "dim": dim,
-        "t": t,
-        "rows": sub_batches * rows,
-        "sub_batches": sub_batches,
-        "jump_cells": cells,
-        "peak_bytes": peak,
-        "bytes_per_cell": peak / cells,
-    }
-
-
-def _figure(r: dict) -> str:
-    """The per-unit figure of one result row, as printed."""
-    if "scipy_modules" in r:
-        return (f"{1e3 * r['best_s']:.1f} ms, {r['peak_rss_mb']:.1f} MiB peak, "
-                f"{r['scipy_modules']} scipy modules")
-    if "ns_per_sojourn" in r:
-        return f"{r['ns_per_sojourn']:.2f} ns/sojourn ({r['rows']} rows, {r['sojourns']} sojourns)"
-    if "ns_per_cell" in r:
-        return f"{r['ns_per_cell']:.3f} ns/cell ({r['rows']} rows, {r['cells']} cells)"
-    if "ns_per_jump" in r:
-        return f"{r['ns_per_jump']:.2f} ns/jump ({r['rows']} rows, {r['jumps']} jumps)"
-    if "sites_per_s" in r:
-        return f"{r['sites_per_s']:.3g} sites/s ({r['rows']} rows, {r['sites']} sites)"
-    if "bytes_per_cell" in r:
-        return (f"{r['bytes_per_cell']:.1f} B/cell peak ({r['rows']} rows, "
-                f"{r['jump_cells']} cells per sub-batch)")
-    if "b" in r:
-        return f"{1e3 * r['best_s']:.3f} ms/call (b={r['b']:g}, {r['rows']} replicas)"
-    return f"{1e3 * r['s_per_call']:.3f} ms/call ({r['sites_per_call']:.0f} sites/call)"
+    # composed law on the same field and rows, per jump of its transverse skeleton
+    yield timed("composed_endpoints_batch", where(1, VSRW_T, VSRW_ROWS), call,
+                lambda _: {"jumps": skeleton_sojourns(call) - VSRW_ROWS}, "ns_per_jump")
+    fields = [scenery.SceneryField(alpha=1.0, dim=1, seed=s) for s in DETOUR_SEEDS]
+    origin, target = np.zeros(2, dtype=np.int64), chemdist.target_site(DETOUR_T, 1.0, 0.0, 1)
+    call = lambda: [chemdist.detour_distance(f, origin, target) for f in fields]
+    evaluated = lambda: tally(scenery.SceneryField, scenery.SceneryField.values, np.size, call)
+    # detour search from the origin to the chemdist_scaling target, per call over the field seeds
+    yield timed("detour_distance", {"dim": 1, "t": DETOUR_T}, call,
+                lambda _: {"calls": len(fields), "sites_per_call": evaluated() / len(fields)}, "s_per_call")
+    for dim, t in HASH_CASES:
+        seeds, sites = hashed_sites(dim, t)
+        # site hash of what one sub-batch evaluates, in sites per second
+        yield timed("site_uniforms", where(dim, t), lambda: scenery.site_uniforms(seeds, sites),
+                    lambda u: {"sites": u.size}, "sites_per_s")
+    u = scenery.site_uniforms(*hashed_sites(1, 100.0))
+    # Pareto inverse CDF on the uniforms of the d = 1, t = 100 hash row, per value
+    yield timed("pareto_from_uniform", where(1, 100.0, alpha=PARETO_ALPHA),
+                lambda: scenery.pareto_from_uniform(u, PARETO_ALPHA),
+                lambda z: {"values": z.size}, "ns_per_value")
+    metric_field = scenery.SceneryField(alpha=1.0, dim=1, seed=METRIC_SEED)
+    spec = chemdist.LayeredGraphSpec(field=metric_field, box=METRIC_BOX)
+    sources = [(i, j) for i in range(5) for j in range(5)]
+    # all-sites Dijkstra from each site of the metric-axiom box, per source
+    yield timed("dijkstra_all", {"dim": 1, "field_seed": METRIC_SEED},
+                lambda: [chemdist.dijkstra_all(METRIC_BOX, spec.weight, s) for s in sources],
+                lambda _: {"sources": len(sources)}, "ms_per_source")
+    for dim, t, sub_batches in PEAK_CASES:
+        rows = sub_batch_rows(t)
+        call = lambda: _kernels.additive_functional_batch(2.0, dim, 1.0, t, 1, sub_batches * rows, tag=0)
+        # traced peak of the functional over its sub-batches, per jump cell of one
+        yield traced("additive_functional_batch", where(dim, t, sub_batches * rows), call,
+                     {"sub_batches": sub_batches, "jump_cells": rows * _kernels._jump_capacity(1.0, t)})
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON record to write")
     args = parser.parse_args(argv)
-    results = [bench_startup()]
-    results += [row for t in HORIZONS for row in bench_horizon(t)]
-    results += [bench_live(t) for t in OCC_HORIZONS]
-    results += [bench_walk(t) for t in WALK_HORIZONS]
-    results += [bench_occupation(*case) for case in OCC_CASES]
-    results += [bench_chen(*case) for case in CHEN_CASES]
-    results += [bench_vsrw(), bench_composed(), bench_detour()]
-    results += [bench_site_uniforms(dim, t) for dim, t in HASH_CASES]
-    results += [bench_functional_peak(*case) for case in PEAK_CASES]
+    results = []
+    for row in stages():
+        results.append(row)
+        shown = (f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in row.items()
+                 if k not in ("layer", "q1_s", "median_s", "q3_s"))
+        print(f"{row['layer']:<25}", "  ".join(shown), flush=True)
     record = {
         "git_commit": git_commit(),
         "nproc": os.cpu_count(),
@@ -454,17 +322,14 @@ def main(argv=None) -> int:
         "numpy_simd": numpy_simd(),
         "machine": platform.machine(),
         "repeats": REPEATS,
-        "statistic": "minimum wall time over the repeats / sojourns, mask or walk cells, jumps or "
-        "calls; sites / minimum wall time; smaller traced peak of two calls / jump cells of one sub-batch; "
-        "start-up: minimum process wall time and least child-reported peak RSS over the repeats; "
-        "every timed row also holds the minimum (best_s) and the quartiles (q1_s, median_s, q3_s) "
-        "of its repeats' wall times",
+        "statistic": "timed rows: minimum wall time over the repeats (best_s) per counted unit "
+        "(<time>_per_<unit>: sojourns, mask or walk cells, jumps, calls, values or sources) or counted "
+        "units / minimum wall time (<units>_per_s: sites), with the quartiles (q1_s, median_s, q3_s) of "
+        "the repeats' wall times; smaller traced peak of two calls / jump cells of one sub-batch; "
+        "start-up: minimum process wall time and least child-reported peak RSS over the repeats",
         "results": results,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    for r in results:
-        where = f"d={r['dim']} t={r['t']:<8g}" if "dim" in r else ""
-        print(f"{r['layer']:<25} {where:<12} {_figure(r)}")
     return 0
 
 
